@@ -1,0 +1,120 @@
+"""Integer kernel under the checked permutation-level API.
+
+Every function works on a plain sequence ``s`` of 1-based images:
+``s[j]`` is the image of symbol ``j`` and ``s[0] == 0`` is padding, so
+``(0, *sigma.images)`` or the search's working list can be passed as is.
+Nothing here validates its input; the public callers do, and wrap
+results back into ``Permutation`` where they leave the package.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Sequence
+
+
+@lru_cache(maxsize=8)
+def structure_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Arc reversal and curve advance on 4n symbols, both padded."""
+    half, m = 2 * n, 4 * n
+    rev = (0, *range(half + 1, m + 1), *range(1, half + 1))
+    # Forward arcs step two symbols up, reversed arcs two down, each wrapping within its half.
+    adv = (0, *range(3, half + 1), 1, 2, m - 1, m, *range(half + 1, m - 1))
+    return rev, adv
+
+
+def parity_offender(s: Sequence[int]) -> int | None:
+    """First symbol sent to a symbol of its own parity."""
+    return next((j for j in range(1, len(s)) if (j + s[j]) % 2 == 0), None)
+
+
+def equation_offender(s: Sequence[int], rev: Sequence[int], adv: Sequence[int]) -> int | None:
+    """First symbol where side, reversal, side does not advance along the curve."""
+    if tuple([s[rev[k]] for k in s]) == tuple(adv):
+        return None
+    return next(j for j in range(1, len(s)) if s[rev[s[j]]] != adv[j])
+
+
+def faces(s: Sequence[int]) -> tuple[list[int], int, int]:
+    """Face id of every symbol (ids in order of smallest symbol), face count, bigon count."""
+    face_of = [-1] * len(s)
+    count = bigons = 0
+    for j in range(1, len(s)):
+        if face_of[j] >= 0:
+            continue
+        k, length = j, 0
+        while face_of[k] < 0:
+            face_of[k] = count
+            k = s[k]
+            length += 1
+        count += 1
+        bigons += length == 2
+    return face_of, count, bigons
+
+
+def cycles(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of ``p``, each from its smallest symbol, ordered by that symbol."""
+    seen = [False] * len(p)
+    out = []
+    for j in range(1, len(p)):
+        if seen[j]:
+            continue
+        cycle, k = [], j
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = p[k]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def corner_rotation(s: Sequence[int], rev: Sequence[int]) -> list[int]:
+    """Reversal after ``s``: the next corner around the same vertex."""
+    return [rev[k] for k in s]
+
+
+def components(face_of: Sequence[int], count: int, rev: Sequence[int]) -> int:
+    """Components of the face graph whose edges glue each side to its reversal."""
+    parent = list(range(count))
+    for a, b in {(face_of[j], face_of[rev[j]]) for j in range(1, len(rev))}:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+    return sum(parent[f] == f for f in range(count))
+
+
+def _shift_map(n: int, a: int, b: int) -> list[int]:
+    """Basepoint shift moving every first-curve arc a places and every second-curve arc b."""
+    half = 2 * n
+    e = list(range(4 * n + 1))
+    for start, k in ((1, a), (2, b), (half + 1, a), (half + 2, b)):
+        arcs = e[start : start + half : 2]
+        e[start : start + half : 2] = arcs[k:] + arcs[:k]
+    return e
+
+
+def _conjugate(s: Sequence[int], n: int, a: int, b: int) -> list[int]:
+    """``s`` relabelled by the basepoint shift (a, b)."""
+    e = _shift_map(n, a, b)
+    return [e[s[k]] for k in _shift_map(n, -a % n, -b % n)]
+
+
+def canonical(s: Sequence[int], n: int) -> list[int]:
+    """Lexicographically smallest conjugate of ``s`` under the n*n basepoint shifts.
+
+    A conjugate's first image ``e(s(e^-1(1)))`` is index arithmetic, so
+    only the shifts that reach the smallest first image are applied in full.
+    """
+    half = 2 * n
+    firsts = []
+    for a in range(n):
+        k = s[2 * (-a % n) + 1]
+        i, beta = divmod((k - 1) % half, 2)
+        for b in range(n):
+            shift = b if beta else a
+            firsts.append((k + 2 * shift - (half if i + shift >= n else 0), a, b))
+    low = min(firsts)[0]
+    return min(_conjugate(s, n, a, b) for first, a, b in firsts if first == low)

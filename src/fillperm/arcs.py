@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .permutations import CycleDecomposition, Permutation
+from . import _kernel
+from .permutations import Permutation
 
 __all__ = [
     "ALPHA",
@@ -121,8 +122,7 @@ def reversal_pairing(n: int) -> Permutation:
     Shifts every symbol by 2n modulo 4n; with n = 1 this is (1,3)(2,4).
     """
     _check_n(n)
-    m = 4 * n
-    return Permutation(((j + 2 * n - 1) % m) + 1 for j in range(1, m + 1))
+    return Permutation(_kernel.structure_maps(n)[0][1:])
 
 
 def curve_advance(n: int) -> Permutation:
@@ -133,10 +133,4 @@ def curve_advance(n: int) -> Permutation:
     (all fixed points when n = 1).
     """
     _check_n(n)
-    cycles = (
-        tuple(range(1, 2 * n, 2)),
-        tuple(range(2, 2 * n + 1, 2)),
-        tuple(range(4 * n - 1, 2 * n, -2)),
-        tuple(range(4 * n, 2 * n + 1, -2)),
-    )
-    return Permutation.from_cycles(CycleDecomposition(4 * n, cycles))
+    return Permutation(_kernel.structure_maps(n)[1][1:])

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import _kernel
+
 __all__ = ["CycleDecomposition", "Permutation"]
 
 _CYCLE = re.compile(r"\((\d+(?:,\d+)*)\)")
@@ -133,20 +135,7 @@ class Permutation:
         return Permutation(out)
 
     def to_cycles(self) -> CycleDecomposition:
-        seen = [False] * self.degree
-        cycles: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            k = self._images[start - 1]
-            while k != start:
-                cycle.append(k)
-                seen[k - 1] = True
-                k = self._images[k - 1]
-            cycles.append(tuple(cycle))
-        return CycleDecomposition(self.degree, tuple(cycles))
+        return CycleDecomposition(self.degree, _kernel.cycles((0, *self._images)))
 
     @classmethod
     def from_cycles(cls, decomposition: CycleDecomposition) -> Permutation:
@@ -191,27 +180,13 @@ class Permutation:
         """
         if self.degree % 2:
             raise ValueError("parity reversal is only defined for even degrees")
-        return all((j + k) % 2 for j, k in enumerate(self._images, start=1))
+        return _kernel.parity_offender((0, *self._images)) is None
 
     def cycle_count(self) -> int:
-        seen = [False] * self.degree
-        count = 0
-        for j in range(1, self.degree + 1):
-            if seen[j - 1]:
-                continue
-            count += 1
-            k = j
-            while not seen[k - 1]:
-                seen[k - 1] = True
-                k = self._images[k - 1]
-        return count
+        return _kernel.faces((0, *self._images))[1]
 
     def two_cycle_count(self) -> int:
-        count = 0
-        for j, k in enumerate(self._images, start=1):
-            if k > j and self._images[k - 1] == j:
-                count += 1
-        return count
+        return _kernel.faces((0, *self._images))[2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):

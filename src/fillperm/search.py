@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arcs import curve_advance, reversal_pairing
+from . import _kernel
 from .permutations import Permutation
 from .verify import FillingInstance, validate
 
@@ -89,7 +89,7 @@ def symmetry_group(n: int) -> list[Permutation]:
     return [Permutation(alpha), Permutation(beta)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _symmetry_elements(n: int) -> tuple[Permutation, ...]:
     gen_a, gen_b = symmetry_group(n)
     elements = []
@@ -107,8 +107,7 @@ def canonical_form(sigma: Permutation) -> Permutation:
     """Lexicographically smallest conjugate under the basepoint shifts."""
     if sigma.degree % 4:
         raise ValueError(f"degree {sigma.degree} is not a multiple of 4")
-    n = sigma.degree // 4
-    return min((sigma.conjugate(e) for e in _symmetry_elements(n)), key=lambda p: p.images)
+    return Permutation(_kernel.canonical((0, *sigma.images), sigma.degree // 4)[1:])
 
 
 def _deduplicate(raw: list[Permutation]) -> tuple[Permutation, ...]:
@@ -132,8 +131,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     if target_faces < 1 or query.punctures > target_faces:
         return SearchResult((), 0, 0, time.perf_counter() - start)
 
-    rev = reversal_pairing(n).images
-    adv = curve_advance(n).images
+    rev, adv = _kernel.structure_maps(n)
     sigma = [0] * (degree + 1)
     used = [False] * (degree + 1)
     raw: list[Permutation] = []
@@ -153,7 +151,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
             sigma[j] = k
             used[k] = True
             placed.append(j)
-            j, k = rev[k - 1], adv[j - 1]
+            j, k = rev[k], adv[j]
             if j == j0 and k == k0:
                 break
         return True, placed
@@ -163,21 +161,13 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
         # their smallest symbol so shared cycles count once.
         found: dict[int, int] = {}
         for j in placed:
-            cur = j
-            low = j
-            length = 0
-            closed = False
-            while True:
-                nxt = sigma[cur]
-                if nxt == 0:
-                    break
+            low, length, cur = j, 1, sigma[j]
+            while cur and cur != j:
+                if cur < low:
+                    low = cur
                 length += 1
-                if nxt == j:
-                    closed = True
-                    break
-                low = min(low, nxt)
-                cur = nxt
-            if closed:
+                cur = sigma[cur]
+            if cur:
                 found[low] = length
         return found
 
@@ -187,10 +177,10 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
         while j <= degree and sigma[j]:
             j += 1
         if j > degree:
-            perm = Permutation(sigma[1:])
-            if perm.cycle_count() == target_faces and perm.two_cycle_count() <= query.punctures:
-                candidate = FillingInstance(perm, query.genus, query.punctures)
-                if not validate(candidate).valid:
+            _, faces, bigons = _kernel.faces(sigma)
+            if faces == target_faces and bigons <= query.punctures:
+                perm = Permutation(sigma[1:])
+                if not validate(FillingInstance(perm, query.genus, query.punctures)).valid:
                     raise RuntimeError("internal inconsistency: search produced an invalid candidate")
                 raw.append(perm)
                 if query.limit is not None and len(raw) >= query.limit:
@@ -248,16 +238,13 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
     degree = 4 * n
     if degree > 8:
         raise ValueError(f"naive enumeration is capped at degree 8, got {degree}")
-    rev = reversal_pairing(n).images
-    adv = curve_advance(n).images
+    rev, adv = _kernel.structure_maps(n)
     raw: list[Permutation] = []
     nodes = 0
-    symbols = range(1, degree + 1)
-    for images in itertools.permutations(symbols):
+    for images in itertools.permutations(range(1, degree + 1)):
         nodes += 1
-        if any((j + images[j - 1]) % 2 == 0 for j in symbols):
-            continue
-        if any(images[rev[images[j - 1] - 1] - 1] != adv[j - 1] for j in symbols):
+        s = (0, *images)
+        if _kernel.parity_offender(s) is not None or _kernel.equation_offender(s, rev, adv) is not None:
             continue
         perm = Permutation(images)
         if validate(FillingInstance(perm, query.genus, query.punctures)).valid:

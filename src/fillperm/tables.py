@@ -57,10 +57,7 @@ def min_intersection(genus: int, punctures: int) -> int:
             )
         return punctures - 2 if punctures % 2 == 0 else punctures - 1
     if genus == 2:
-        low, general = 4, 2 * genus + punctures - 2
-        if punctures == 2 and low != general:
-            raise AssertionError("overlapping branches disagree at genus 2, two punctures")
-        return low if punctures <= 2 else general
+        return 4 if punctures <= 2 else punctures + 2
     return 2 * genus - 1 if punctures == 0 else 2 * genus + punctures - 2
 
 

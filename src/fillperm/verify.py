@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arcs import ArcLabel, curve_advance, label_of, reversal_pairing
+from . import _kernel
+from .arcs import ArcLabel, label_of
 from .permutations import Permutation
 
 __all__ = [
@@ -80,18 +81,16 @@ class ValidationReport:
         return out
 
 
-def _require_quarter_degree(sigma: Permutation) -> int:
+def _kernel_view(sigma: Permutation) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Padded images of ``sigma`` with the arc reversal and curve advance of its degree."""
     if sigma.degree % 4:
         raise ValueError(f"degree {sigma.degree} is not a multiple of 4")
-    return sigma.degree // 4
+    return (0, *sigma.images), *_kernel.structure_maps(sigma.degree // 4)
 
 
 def check_filling_equation(sigma: Permutation) -> bool:
     """Whether side, reversal, side again advances each arc along its curve."""
-    n = _require_quarter_degree(sigma)
-    rev = reversal_pairing(n)
-    adv = curve_advance(n)
-    return sigma.compose(rev.compose(sigma)) == adv
+    return _kernel.equation_offender(*_kernel_view(sigma)) is None
 
 
 def corner_rotation(sigma: Permutation) -> Permutation:
@@ -101,143 +100,74 @@ def corner_rotation(sigma: Permutation) -> Permutation:
     side following j.  Orbits are the vertex classes of the glued
     surface; for a genuine filling permutation every orbit is a 4-cycle.
     """
-    n = _require_quarter_degree(sigma)
-    return reversal_pairing(n).compose(sigma)
+    s, rev, _ = _kernel_view(sigma)
+    return Permutation(_kernel.corner_rotation(s, rev)[1:])
 
 
 def vertex_classes(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     """Orbits of the corner rotation, each starting at its smallest member."""
-    rot = corner_rotation(sigma)
-    seen = [False] * sigma.degree
-    classes: list[tuple[int, ...]] = []
-    for j in range(1, sigma.degree + 1):
-        if seen[j - 1]:
-            continue
-        orbit = [j]
-        seen[j - 1] = True
-        k = rot(j)
-        while k != j:
-            orbit.append(k)
-            seen[k - 1] = True
-            k = rot(k)
-        classes.append(tuple(orbit))
-    return tuple(classes)
+    s, rev, _ = _kernel_view(sigma)
+    return _kernel.cycles(_kernel.corner_rotation(s, rev))
 
 
-def _face_components(sigma: Permutation, rev: Permutation) -> int:
-    """Connected components of the face-adjacency graph under edge gluing."""
-    cycles = sigma.to_cycles().cycles
-    face_of = {}
-    for i, cycle in enumerate(cycles):
-        for s in cycle:
-            face_of[s] = i
-    parent = list(range(len(cycles)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in range(1, sigma.degree + 1):
-        a, b = find(face_of[j]), find(face_of[rev(j)])
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(len(cycles))})
+def _check(name: str, failure: str) -> CheckResult:
+    """A check that passes exactly when there is no failure detail."""
+    return CheckResult(name, not failure, failure)
 
 
 def validate(instance: FillingInstance) -> ValidationReport:
     """Run all nine structural checks; nothing raises, failures are reported."""
-    sigma = instance.sigma
     g, p = instance.genus, instance.punctures
     n = instance.n
-    degree = sigma.degree
-    rev = reversal_pairing(n)
-    adv = curve_advance(n)
-    checks: list[CheckResult] = []
+    s, rev, adv = _kernel_view(instance.sigma)
+    checks = [CheckResult("degree-divisible-by-4", True, f"degree {4 * n} = 4*{n}")]
 
-    checks.append(CheckResult("degree-divisible-by-4", True, f"degree {degree} = 4*{n}"))
+    offender = _kernel.parity_offender(s)
+    parity_failure = "" if offender is None else f"symbol {offender} maps to {s[offender]} of the same parity"
+    checks.append(_check("parity-reversing", parity_failure))
 
-    offender = next((j for j in range(1, degree + 1) if (j + sigma(j)) % 2 == 0), None)
-    checks.append(
-        CheckResult(
-            "parity-reversing",
-            offender is None,
-            "" if offender is None else f"symbol {offender} maps to {sigma(offender)} of the same parity",
-        )
+    bad = _kernel.equation_offender(s, rev, adv)
+    equation_failure = "" if bad is None else (
+        f"at symbol {bad}: side-reversal-side gives {s[rev[s[bad]]]}, curve advance gives {adv[bad]}"
     )
+    checks.append(_check("filling-equation", equation_failure))
 
-    bad = next((j for j in range(1, degree + 1) if sigma(rev(sigma(j))) != adv(j)), None)
-    checks.append(
-        CheckResult(
-            "filling-equation",
-            bad is None,
-            ""
-            if bad is None
-            else f"at symbol {bad}: side-reversal-side gives {sigma(rev(sigma(bad)))}, curve advance gives {adv(bad)}",
-        )
-    )
-
-    faces = sigma.cycle_count()
+    face_of, faces, bigons = _kernel.faces(s)
     expected_faces = n + 2 - 2 * g
     if faces == expected_faces:
-        face_detail = f"{faces} faces force genus {g}"
+        checks.append(CheckResult("cycle-count", True, f"{faces} faces force genus {g}"))
     else:
-        face_detail = f"{faces} cycles, expected n+2-2g = {expected_faces}"
-    checks.append(CheckResult("cycle-count", faces == expected_faces, face_detail))
-
-    bigons = sigma.two_cycle_count()
+        checks.append(_check("cycle-count", f"{faces} cycles, expected n+2-2g = {expected_faces}"))
+    checks.append(_check("two-cycle-bound", "" if bigons <= p else f"{bigons} bigon faces but only {p} punctures"))
     checks.append(
-        CheckResult(
-            "two-cycle-bound",
-            bigons <= p,
-            "" if bigons <= p else f"{bigons} bigon faces but only {p} punctures",
-        )
+        _check("puncture-feasibility", "" if p <= expected_faces else f"p = {p} exceeds n+2-2g = {expected_faces}")
     )
 
-    checks.append(
-        CheckResult(
-            "puncture-feasibility",
-            p <= expected_faces,
-            "" if p <= expected_faces else f"p = {p} exceeds n+2-2g = {expected_faces}",
-        )
-    )
-
-    classes = vertex_classes(sigma)
+    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
     bad_orbit = next((c for c in classes if len(c) != 4), None)
     if bad_orbit is not None:
-        vertex_detail = f"orbit of {bad_orbit[0]} has size {len(bad_orbit)}, expected 4"
+        vertex_failure = f"orbit of {bad_orbit[0]} has size {len(bad_orbit)}, expected 4"
     elif len(classes) != n:
-        vertex_detail = f"{len(classes)} vertex classes, expected n = {n}"
+        vertex_failure = f"{len(classes)} vertex classes, expected n = {n}"
     else:
-        vertex_detail = ""
-    checks.append(CheckResult("vertex-classes", vertex_detail == "", vertex_detail))
+        vertex_failure = ""
+    checks.append(_check("vertex-classes", vertex_failure))
 
     chi = len(classes) - 2 * n + faces
-    checks.append(
-        CheckResult(
-            "euler-characteristic",
-            chi == 2 - 2 * g,
-            "" if chi == 2 - 2 * g else f"V-E+F = {chi}, expected 2-2g = {2 - 2 * g}",
-        )
-    )
+    euler_failure = "" if chi == 2 - 2 * g else f"V-E+F = {chi}, expected 2-2g = {2 - 2 * g}"
+    checks.append(_check("euler-characteristic", euler_failure))
 
-    components = _face_components(sigma, rev)
-    checks.append(
-        CheckResult(
-            "connectivity",
-            components == 1,
-            "" if components == 1 else f"{components} components after gluing",
-        )
-    )
+    components = _kernel.components(face_of, faces, rev)
+    checks.append(_check("connectivity", "" if components == 1 else f"{components} components after gluing"))
 
     return ValidationReport(n, tuple(checks))
 
 
 def faces_as_words(sigma: Permutation) -> tuple[tuple[ArcLabel, ...], ...]:
     """One boundary word per polygon, faces in canonical cycle order."""
-    n = _require_quarter_degree(sigma)
-    return tuple(tuple(label_of(s, n) for s in cycle) for cycle in sigma.to_cycles().cycles)
+    s, _, _ = _kernel_view(sigma)
+    n = sigma.degree // 4
+    return tuple(tuple(label_of(k, n) for k in cycle) for cycle in _kernel.cycles(s))
 
 
 @dataclass(frozen=True)
@@ -284,13 +214,14 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
     """
     if punctures < 0:
         raise ValueError("punctures must be non-negative")
-    n = _require_quarter_degree(sigma)
-    if not sigma.is_parity_reversing() or not check_filling_equation(sigma):
+    s, rev, adv = _kernel_view(sigma)
+    n = sigma.degree // 4
+    if _kernel.parity_offender(s) is not None or _kernel.equation_offender(s, rev, adv) is not None:
         raise ValueError("gluing needs a parity-reversing permutation satisfying the filling equation")
 
-    face_cycles = sigma.to_cycles().cycles
-    words = tuple(tuple(label_of(s, n) for s in cycle) for cycle in face_cycles)
-    classes = vertex_classes(sigma)
+    face_cycles = _kernel.cycles(s)
+    words = tuple(tuple(label_of(k, n) for k in cycle) for cycle in face_cycles)
+    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
     if any(len(c) != 4 for c in classes):
         raise RuntimeError("internal inconsistency: a corner orbit is not a 4-cycle")
 
@@ -304,19 +235,13 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
         raise ValueError(f"{len(bigons)} bigon faces must all be punctured but p = {punctures}")
     if punctures > len(face_cycles):
         raise ValueError(f"p = {punctures} exceeds the {len(face_cycles)} available faces")
-    assignment = [0] * len(face_cycles)
-    for i in bigons:
-        assignment[i] = 1
-    remaining = punctures - len(bigons)
+    assignment = [int(len(c) == 2) for c in face_cycles]
+    spare = punctures - len(bigons)
     for i in range(len(face_cycles)):
-        if remaining == 0:
-            break
-        if assignment[i] == 0:
-            assignment[i] = 1
-            remaining -= 1
+        if spare and not assignment[i]:
+            assignment[i], spare = 1, spare - 1
 
-    rev = reversal_pairing(n)
-    pairing = tuple((j, rev(j)) for j in range(1, 2 * n + 1))
+    pairing = tuple((j, rev[j]) for j in range(1, 2 * n + 1))
     return GluedSurface(
         n=n,
         face_cycles=face_cycles,

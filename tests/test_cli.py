@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -244,3 +245,36 @@ class TestEntryPoints:
             "fillperm search: error: the following arguments are required: --punctures, --n"
             in proc.stderr.splitlines()
         )
+
+
+FROZEN_ARGV = [
+    ("verify", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3"),
+    ("verify", "--sigma", GENUS2_BASE, "--genus", "1", "--punctures", "0"),
+    ("verify", "--sigma", "(1,3)(2,4)", "--genus", "1", "--punctures", "0"),
+    ("verify", "--sigma", "(1,2)(3,4)", "--genus", "1", "--punctures", "0", "--n", "2"),
+    ("glue", "--sigma", GENUS2_BASE, "--punctures", "3"),
+    ("glue", "--sigma", "(1,2,3,4)", "--punctures", "0"),
+    ("glue", "--sigma", "(1,2)(3,4)", "--punctures", "0"),
+    ("extend", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3", "--target-p", "9"),
+    ("extend", "--sigma", "(1,2,3,4)", "--genus", "1", "--punctures", "0", "--target-p", "4"),
+    ("search", "--genus", "1", "--punctures", "2", "--n", "3"),
+    ("search", "--genus", "1", "--punctures", "2", "--n", "3", "--dedup"),
+    ("search", "--genus", "0", "--punctures", "4", "--n", "2", "--naive"),
+    ("search", "--genus", "2", "--punctures", "3", "--n", "5", "--dedup"),
+    ("search", "--genus", "1", "--punctures", "0", "--n", "4", "--limit", "7"),
+    ("table", "--max-genus", "4", "--max-punctures", "6"),
+    ("table", "--genus", "2", "--punctures", "2"),
+    ("export-svg", "--sigma", GENUS2_BASE, "--punctures", "3", "--out", "OUT"),
+]
+# Recorded with the object-level checks, before they moved onto the integer kernel.
+FROZEN_SHA256 = "b35ed116da2b05bc97b427d37b107dcdc89f664f7a7b9b6978a91a9ced6b1067"
+
+
+def test_frozen_command_outputs(capsys, tmp_path):
+    out_file = tmp_path / "out.svg"
+    digest = hashlib.sha256()
+    for argv in FROZEN_ARGV:
+        code, out, err = run_cli(capsys, *(str(out_file) if a == "OUT" else a for a in argv))
+        digest.update(f"{code}\n{out}\n{err}\n".replace(str(out_file), "OUT").encode())
+    digest.update(out_file.read_bytes())
+    assert digest.hexdigest() == FROZEN_SHA256

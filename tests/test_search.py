@@ -1,6 +1,8 @@
 """Propagation search vs. the brute-force oracle, plus symmetry machinery."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fillperm import (
     FillingInstance,
@@ -18,6 +20,17 @@ from fillperm import (
 from fillperm.search import _symmetry_elements
 
 from conftest import small_parameter_grid
+
+
+@st.composite
+def quarter_degree_permutations(draw):
+    """Permutations of degree 4..24, half of them parity-reversing like every solution."""
+    half = 2 * draw(st.integers(1, 6))
+    if not draw(st.booleans()):
+        return Permutation(draw(st.permutations(range(1, 2 * half + 1))))
+    evens = draw(st.permutations(range(2, 2 * half + 1, 2)))
+    odds = draw(st.permutations(range(1, 2 * half, 2)))
+    return Permutation(v for pair in zip(evens, odds) for v in pair)
 
 
 class TestKnownSets:
@@ -145,6 +158,11 @@ class TestSymmetry:
             assert canonical_form(canon) == canon
             for e in _symmetry_elements(3):
                 assert canonical_form(sigma.conjugate(e)) == canon
+
+    @given(quarter_degree_permutations())
+    def test_canonical_form_matches_conjugation_reference(self, sigma):
+        conjugates = (sigma.conjugate(e) for e in _symmetry_elements(sigma.degree // 4))
+        assert canonical_form(sigma) == min(conjugates, key=lambda p: p.images)
 
     def test_dedup_counts(self):
         assert len(enumerate_solutions(SearchQuery(0, 4, 2, dedup=True)).solutions) == 1

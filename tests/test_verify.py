@@ -1,13 +1,18 @@
 """Validation checks and surface gluing, anchored on the genus-2 certificate."""
 
+import hashlib
+import random
+
 import pytest
 
 from fillperm import (
     CycleDecomposition,
     FillingInstance,
     Permutation,
+    SearchQuery,
     check_filling_equation,
     corner_rotation,
+    enumerate_solutions,
     faces_as_words,
     glue,
     validate,
@@ -181,3 +186,72 @@ class TestInstanceConstruction:
 
     def test_n_property(self, genus2_sigma):
         assert FillingInstance(genus2_sigma, 2, 3).n == 5
+
+
+def frozen_corpus() -> list[tuple[Permutation, int, int]]:
+    """A fixed seeded corpus of (sigma, genus, punctures) cases.
+
+    Random permutations and random parity-reversing ones of degree 4..40
+    fail the checks in many different places; every solution of three
+    small searches is taken at its own genus and punctures, one genus
+    up, and one puncture up and down.
+    """
+    rng = random.Random(20261017)
+    cases = []
+    for _ in range(3000):
+        images = list(range(1, 4 * rng.randint(1, 10) + 1))
+        rng.shuffle(images)
+        cases.append((Permutation(images), rng.randint(0, 3), rng.randint(0, 5)))
+    for _ in range(3000):
+        half = 2 * rng.randint(1, 10)
+        odds = list(range(1, 2 * half, 2))
+        evens = list(range(2, 2 * half + 1, 2))
+        rng.shuffle(odds)
+        rng.shuffle(evens)
+        images = [evens[i // 2] if i % 2 == 0 else odds[i // 2] for i in range(2 * half)]
+        cases.append((Permutation(images), rng.randint(0, 3), rng.randint(0, 5)))
+    for genus, punctures, n in ((2, 3, 5), (0, 4, 2), (1, 0, 1)):
+        for sigma in enumerate_solutions(SearchQuery(genus, punctures, n)).solutions:
+            for g, p in ((genus, punctures), (genus + 1, punctures), (genus, punctures + 1), (genus, punctures - 1)):
+                if p >= 0:
+                    cases.append((sigma, g, p))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return frozen_corpus()
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# Recorded with the object-level checks, before they moved onto the
+# integer kernel; any change to a report line or a gluing shows here.
+CORPUS_SIZE = 15222
+CORPUS_VALID = 4626
+VALIDATE_SHA256 = "f318d4d932f0df410159b9a9b96ba8c968299cbdf5805f62c138a16934d5796e"
+GLUE_SHA256 = "5c704b5aec595de677c43d8d7e27bcadb71a95d1be33d7dd98249d2648790657"
+
+
+class TestFrozenOutputs:
+    def test_validate_report_lines(self, corpus):
+        reports = [validate(FillingInstance(*case)) for case in corpus]
+        assert (len(reports), sum(r.valid for r in reports)) == (CORPUS_SIZE, CORPUS_VALID)
+        assert _digest("\n".join(r.lines()) for r in reports) == VALIDATE_SHA256
+
+    def test_gluing_and_corner_structure(self, corpus):
+        def describe(sigma: Permutation, punctures: int) -> str:
+            head = f"{vertex_classes(sigma)} {corner_rotation(sigma).images} {check_filling_equation(sigma)}"
+            try:
+                surf = glue(sigma, punctures)
+            except ValueError as exc:
+                return f"{head} error: {exc}"
+            return f"{head} {surf}"
+
+        assert _digest(describe(sigma, punctures) for sigma, _, punctures in corpus) == GLUE_SHA256
