@@ -5,7 +5,6 @@ from .arcs import (
     ALPHA,
     BETA,
     ArcLabel,
-    LabelScheme,
     curve_advance,
     index_of,
     label_of,
@@ -27,7 +26,6 @@ from .svg import render_svg
 from .tables import (
     CrossValidation,
     CrossValidationError,
-    MinIntersectionQuery,
     NoFillingPairError,
     cross_validate,
     min_intersection,
@@ -57,8 +55,6 @@ __all__ = [
     "CycleDecomposition",
     "FillingInstance",
     "GluedSurface",
-    "LabelScheme",
-    "MinIntersectionQuery",
     "NoFillingPairError",
     "Permutation",
     "SearchLimitError",

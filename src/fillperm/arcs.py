@@ -20,7 +20,6 @@ __all__ = [
     "ALPHA",
     "BETA",
     "ArcLabel",
-    "LabelScheme",
     "curve_advance",
     "index_of",
     "label_of",
@@ -95,25 +94,6 @@ def index_of(label: ArcLabel, n: int) -> int:
         raise ValueError(f"arc index {label.index} exceeds n = {n}")
     base = 2 * label.index - 1 if label.curve == ALPHA else 2 * label.index
     return base + 2 * n if label.inverted else base
-
-
-@dataclass(frozen=True)
-class LabelScheme:
-    """The symbol/arc bijection for a fixed crossing count."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-
-    def label_of(self, j: int) -> ArcLabel:
-        return label_of(j, self.n)
-
-    def index_of(self, label: ArcLabel) -> int:
-        return index_of(label, self.n)
-
-    def labels(self) -> tuple[ArcLabel, ...]:
-        return tuple(label_of(j, self.n) for j in range(1, 4 * self.n + 1))
 
 
 def reversal_pairing(n: int) -> Permutation:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernel
 from .permutations import Permutation
 from .verify import FillingInstance, validate, vertex_classes
 
@@ -42,24 +43,31 @@ def double_bigon(instance: FillingInstance, site: SurgerySite) -> FillingInstanc
     if not report.valid:
         failing = ", ".join(c.name for c in report.failures())
         raise ValueError(f"surgery needs a valid instance; failing checks: {failing}")
-    sigma = instance.sigma
+    return _splice(instance, site)
+
+
+def _splice(instance: FillingInstance, site: SurgerySite) -> FillingInstance:
+    """The move on an instance already known to be valid; the output is still validated."""
     n = instance.n
     half = 2 * n
+    s = (0, *instance.sigma.images)
+    rev, _ = _kernel.structure_maps(n)
 
-    orbit = next((c for c in vertex_classes(sigma) if c[0] == site.vertex_class), None)
+    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
+    orbit = next((c for c in classes if c[0] == site.vertex_class), None)
     if orbit is None:
         raise ValueError(f"no vertex class is labeled {site.vertex_class}")
 
     # The four corners at the vertex: each curve arrives along a forward
     # arc and departs along one whose reversal also ends here.
-    a_in = next(s for s in orbit if s % 2 == 1 and s <= half)
-    b_in = next(s for s in orbit if s % 2 == 0 and s <= half)
-    a_out = next(s for s in orbit if s % 2 == 1 and s > half) - half
-    b_out = next(s for s in orbit if s % 2 == 0 and s > half) - half
+    a_in = next(j for j in orbit if j % 2 == 1 and j <= half)
+    b_in = next(j for j in orbit if j % 2 == 0 and j <= half)
+    a_out = next(j for j in orbit if j % 2 == 1 and j > half) - half
+    b_out = next(j for j in orbit if j % 2 == 0 and j > half) - half
 
     # Crossing handedness: after the incoming second-curve side comes
     # either the outgoing first-curve arc or the reversed incoming one.
-    after_b = sigma(b_in)
+    after_b = s[b_in]
     if after_b == a_out:
         right_handed = True
     elif after_b == a_in + half:
@@ -70,11 +78,11 @@ def double_bigon(instance: FillingInstance, site: SurgerySite) -> FillingInstanc
     m = n + 2
     ai, bi = (a_in + 1) // 2, b_in // 2
 
-    def remap(s: int) -> int:
+    def remap(j: int) -> int:
         # Old symbol -> new symbol; the two fresh arcs per curve slot in
         # right after the arcs arriving at the chosen vertex.
-        inverted = s > half
-        base = s - half if inverted else s
+        inverted = j > half
+        base = j - half if inverted else j
         if base % 2:
             idx = (base + 1) // 2
             idx = idx if idx <= ai else idx + 2
@@ -85,18 +93,19 @@ def double_bigon(instance: FillingInstance, site: SurgerySite) -> FillingInstanc
             out = 2 * idx
         return out + 2 * m if inverted else out
 
-    def flip(s: int) -> int:
-        return s + 2 * m if s <= 2 * m else s - 2 * m
+    def flip(j: int) -> int:
+        return j + 2 * m if j <= 2 * m else j - 2 * m
 
     na1, na2 = 2 * (ai + 1) - 1, 2 * (ai + 2) - 1
     nb1, nb2 = 2 * (bi + 1), 2 * (bi + 2)
 
+    relabel = [0, *map(remap, range(1, 4 * n + 1))]
     images = [0] * (4 * m)
-    for s in range(1, 4 * n + 1):
-        images[remap(s) - 1] = remap(sigma(s))
+    for j in range(1, 4 * n + 1):
+        images[relabel[j] - 1] = relabel[s[j]]
 
-    def put(s: int, v: int) -> None:
-        images[s - 1] = v
+    def put(j: int, v: int) -> None:
+        images[j - 1] = v
 
     if right_handed:
         # Rerouted strand first meets the new first-curve arcs, so the
@@ -143,7 +152,8 @@ def extend_to(instance: FillingInstance, target_punctures: int) -> FillingInstan
         raise ValueError("the surgery adds punctures in pairs; parity mismatch")
     if not validate(instance).valid:
         raise ValueError("extension needs a valid instance")
+    # Each step's output was validated by the step itself, so only the first input is checked here.
     current = instance
     while current.punctures < target_punctures:
-        current = double_bigon(current, SurgerySite(1))
+        current = _splice(current, SurgerySite(1))
     return current

@@ -4,13 +4,14 @@ Faces are laid out left to right in canonical cycle order, one regular
 polygon each.  Every side is a directed, labeled edge (first curve dark
 red, second curve blue) with an arrowhead placed at 58% of its length;
 punctured faces carry a center dot.  Bigons bow their two sides outward
-so both stay visible.
+so both stay visible.  The markup is written directly as text, with
+fixed attribute order and two-decimal coordinates, so the same surface
+always gives the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
 from .arcs import ALPHA
 from .verify import GluedSurface
@@ -23,10 +24,6 @@ _MARGIN = 60.0
 _LABEL_OFFSET = 18.0
 _ALPHA_COLOR = "#8b0000"
 _BETA_COLOR = "#00008b"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
 
 
 def _bezier_point(a, c, b, t):
@@ -54,16 +51,10 @@ def render_svg(surface: GluedSurface) -> str:
     count = surface.face_count
     width = 2 * _MARGIN + count * 2 * _RADIUS + (count - 1) * _GAP
     height = 2 * (_MARGIN + _RADIUS)
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": _fmt(width),
-            "height": _fmt(height),
-            "viewBox": f"0 0 {_fmt(width)} {_fmt(height)}",
-        },
-    )
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.2f}" height="{height:.2f}" '
+        f'viewBox="0 0 {width:.2f} {height:.2f}">'
+    ]
     cy = _MARGIN + _RADIUS
     for k, word in enumerate(surface.faces):
         cx = _MARGIN + _RADIUS + k * (2 * _RADIUS + _GAP)
@@ -87,54 +78,27 @@ def render_svg(surface: GluedSurface) -> str:
             else:
                 control = mid
             color = _ALPHA_COLOR if label.curve == ALPHA else _BETA_COLOR
-            ET.SubElement(
-                root,
-                "path",
-                {
-                    "d": (
-                        f"M {_fmt(a[0])},{_fmt(a[1])} "
-                        f"Q {_fmt(control[0])},{_fmt(control[1])} {_fmt(b[0])},{_fmt(b[1])}"
-                    ),
-                    "fill": "none",
-                    "stroke": color,
-                    "stroke-width": "1.5",
-                },
+            out.append(
+                f'<path d="M {a[0]:.2f},{a[1]:.2f} Q {control[0]:.2f},{control[1]:.2f} {b[0]:.2f},{b[1]:.2f}" '
+                f'fill="none" stroke="{color}" stroke-width="1.5" />'
             )
             tip_at = _bezier_point(a, control, b, 0.58)
             tx, ty = _unit(*_bezier_tangent(a, control, b, 0.58))
             nx, ny = -ty, tx
-            arrow = (
+            (x0, y0), (x1, y1), (x2, y2) = (
                 (tip_at[0] + 7 * tx, tip_at[1] + 7 * ty),
                 (tip_at[0] - 4 * tx + 4.5 * nx, tip_at[1] - 4 * ty + 4.5 * ny),
                 (tip_at[0] - 4 * tx - 4.5 * nx, tip_at[1] - 4 * ty - 4.5 * ny),
             )
-            ET.SubElement(
-                root,
-                "polygon",
-                {
-                    "points": " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in arrow),
-                    "fill": color,
-                },
-            )
+            out.append(f'<polygon points="{x0:.2f},{y0:.2f} {x1:.2f},{y1:.2f} {x2:.2f},{y2:.2f}" fill="{color}" />')
             ox, oy = _unit(control[0] - cx, control[1] - cy) if control != (cx, cy) else (0.0, -1.0)
-            text = ET.SubElement(
-                root,
-                "text",
-                {
-                    "x": _fmt(control[0] + _LABEL_OFFSET * ox),
-                    "y": _fmt(control[1] + _LABEL_OFFSET * oy),
-                    "font-size": "12",
-                    "font-family": "monospace",
-                    "text-anchor": "middle",
-                    "dominant-baseline": "middle",
-                    "fill": "#000000",
-                },
+            # Labels match [ab]\d+'? (ArcLabel.__str__), so they need no XML escaping.
+            out.append(
+                f'<text x="{control[0] + _LABEL_OFFSET * ox:.2f}" y="{control[1] + _LABEL_OFFSET * oy:.2f}" '
+                f'font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle" '
+                f'fill="#000000">{label}</text>'
             )
-            text.text = str(label)
         if surface.puncture_assignment[k]:
-            ET.SubElement(
-                root,
-                "circle",
-                {"cx": _fmt(cx), "cy": _fmt(cy), "r": "3.5", "fill": "#000000"},
-            )
-    return ET.tostring(root, encoding="unicode")
+            out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#000000" />')
+    out.append("</svg>")
+    return "".join(out)

@@ -9,7 +9,6 @@ from .search import SearchQuery, enumerate_solutions
 __all__ = [
     "CrossValidation",
     "CrossValidationError",
-    "MinIntersectionQuery",
     "NoFillingPairError",
     "cross_validate",
     "min_intersection",
@@ -22,24 +21,6 @@ class NoFillingPairError(Exception):
 
 class CrossValidationError(Exception):
     """The search-determined minimum disagrees with the closed form."""
-
-
-@dataclass(frozen=True)
-class MinIntersectionQuery:
-    genus: int
-    punctures: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.punctures < 0:
-            raise ValueError("genus and punctures must be non-negative")
-
-    @property
-    def defined(self) -> bool:
-        """Whether any filling pair exists on this surface."""
-        return not (self.genus == 0 and self.punctures <= 3)
-
-    def value(self) -> int:
-        return min_intersection(self.genus, self.punctures)
 
 
 def min_intersection(genus: int, punctures: int) -> int:

@@ -66,6 +66,21 @@ class TestExtendTo:
         with pytest.raises(ValueError, match="below"):
             extend_to(genus2_instance, 1)
 
+    def test_validates_input_once_and_every_step(self, genus2_instance, monkeypatch):
+        import fillperm.moves
+
+        calls = []
+
+        def counting_validate(instance):
+            calls.append(instance.punctures)
+            return validate(instance)
+
+        monkeypatch.setattr(fillperm.moves, "validate", counting_validate)
+        out = extend_to(genus2_instance, 13)
+        # k = 5 steps: the input once, then each step's output once.
+        assert calls == [3, 5, 7, 9, 11, 13]
+        assert validate(out).valid
+
     def test_steps_are_fast(self, genus2_instance):
         import time
 

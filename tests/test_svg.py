@@ -1,0 +1,81 @@
+"""SVG export: frozen bytes over a fixed corpus, and the drawing's structure."""
+
+import hashlib
+import random
+import xml.etree.ElementTree as ET
+
+import pytest
+
+from fillperm import (
+    FillingInstance,
+    Permutation,
+    SearchQuery,
+    available_sites,
+    double_bigon,
+    enumerate_solutions,
+    glue,
+    render_svg,
+)
+from fillperm.certificates import GENUS2_BASE
+
+LADDER_SEED = 1
+LADDER_STEPS = 74  # S_2,3 -> S_2,151, n = 7..153
+SOLUTION_CASES = [((0, 4, 2), None), ((1, 0, 1), None), ((1, 2, 2), None), ((2, 3, 5), 300)]
+
+CORPUS_SIZE = 384
+SVG_SHA256 = "7f08fd3825c50be259954ffaf4b4f9e2e6f13e12b014088abc18d7d0a12ebf4c"
+
+
+def ladder_surfaces():
+    """The surfaces of the seeded double-bigon ladder from the genus-2 certificate."""
+    rng = random.Random(LADDER_SEED)
+    current = FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3)
+    out = []
+    for _ in range(LADDER_STEPS):
+        # One site draw and two unused draws per step, as the benchmark's ladder takes them.
+        site_draw, _, _ = (rng.getrandbits(32) for _ in range(3))
+        sites = available_sites(current)
+        current = double_bigon(current, sites[site_draw % len(sites)])
+        out.append(glue(current.sigma, current.punctures))
+    return out
+
+
+@pytest.fixture(scope="module")
+def surfaces():
+    out = ladder_surfaces()
+    for (genus, punctures, n), limit in SOLUTION_CASES:
+        solutions = enumerate_solutions(SearchQuery(genus, punctures, n)).solutions
+        out.extend(glue(sigma, punctures) for sigma in solutions[:limit])
+    return out
+
+
+@pytest.fixture(scope="module")
+def markups(surfaces):
+    return [render_svg(surface) for surface in surfaces]
+
+
+def test_frozen_bytes(markups):
+    digest = hashlib.sha256()
+    for markup in markups:
+        digest.update(markup.encode())
+    assert (len(markups), digest.hexdigest()) == (CORPUS_SIZE, SVG_SHA256)
+
+
+def test_corpus_has_bigons_and_punctured_faces(surfaces):
+    assert any(len(cycle) == 2 for s in surfaces for cycle in s.face_cycles)
+    punctured = [flag for s in surfaces for flag in s.puncture_assignment]
+    assert 0 in punctured and 1 in punctured
+
+
+def test_one_mark_per_side_and_puncture(surfaces, markups):
+    svg = "{http://www.w3.org/2000/svg}"
+    for surface, markup in zip(surfaces, markups):
+        root = ET.fromstring(markup)
+        sides = sum(len(word) for word in surface.faces)
+        counts = {tag: len(root.findall(svg + tag)) for tag in ("path", "polygon", "text", "circle")}
+        assert counts == {"path": sides, "polygon": sides, "text": sides, "circle": sum(surface.puncture_assignment)}
+        labels = [str(label) for word in surface.faces for label in word]
+        assert [t.text for t in root.findall(svg + "text")] == labels
+        faces = surface.face_count
+        assert float(root.get("width")) == 2 * 60 + 180 * faces + 70 * (faces - 1)
+        assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"

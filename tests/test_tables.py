@@ -4,7 +4,6 @@ import pytest
 
 from fillperm import (
     CrossValidationError,
-    MinIntersectionQuery,
     NoFillingPairError,
     cross_validate,
     min_intersection,
@@ -34,7 +33,6 @@ def test_spot_values(surface, expected):
 def test_sphere_needs_four_punctures(punctures):
     with pytest.raises(NoFillingPairError):
         min_intersection(0, punctures)
-    assert not MinIntersectionQuery(0, punctures).defined
 
 
 def test_sphere_parity_staircase():
@@ -53,12 +51,10 @@ def test_high_genus_closed_vs_punctured():
             assert min_intersection(g, p) == 2 * g + p - 2
 
 
-def test_query_wrapper():
-    q = MinIntersectionQuery(2, 3)
-    assert q.defined
-    assert q.value() == 5
+@pytest.mark.parametrize("surface", [(-1, 0), (0, -1)])
+def test_negative_parameters_rejected(surface):
     with pytest.raises(ValueError):
-        MinIntersectionQuery(-1, 0)
+        min_intersection(*surface)
 
 
 class TestCrossValidation:
