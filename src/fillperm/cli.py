@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import _kernel
 from .moves import extend_to
 from .permutations import Permutation
-from .search import SearchLimitError, SearchQuery, canonical_form, enumerate_solutions
+from .search import SearchLimitError, SearchQuery, enumerate_solutions
 from .svg import render_svg
 from .tables import NoFillingPairError, min_intersection
 from .verify import FillingInstance, glue, validate
@@ -90,7 +91,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.dedup:
         classes = len(result.solutions)
     else:
-        classes = len({canonical_form(p) for p in result.solutions})
+        classes = len({tuple(_kernel.canonical((0, *p.images), args.n)) for p in result.solutions})
     print(f"count={result.raw_count} dedup={classes} nodes={result.nodes_explored}")
     return EXIT_OK
 

@@ -4,9 +4,12 @@ Fixing sigma(j) = k forces sigma(rev(k)) = adv(j), and iterating that
 implication closes up after four assignments.  The search therefore
 guesses one value per block of four symbols, pruning on bijectivity,
 parity and the running face counts, and re-validates every solution it
-reports.  A brute-force oracle over the full symmetric group covers
-degrees up to 8 and exists so the two routes can be checked against each
-other.
+reports.  The face counts come from the open path segments of the
+partial sigma, each known by its start, end and step count: an
+assignment either closes a face of known length or joins two segments,
+in constant time, and is undone the same way.  A brute-force oracle
+over the full symmetric group covers degrees up to 8 and exists so the
+two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -134,42 +137,14 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     rev, adv = _kernel.structure_maps(n)
     sigma = [0] * (degree + 1)
     used = [False] * (degree + 1)
+    # Open path segments of the partial sigma (maximal runs of assigned
+    # steps): the start of the segment ending at each unassigned symbol, the
+    # end of the one starting at each unused symbol, and its step count.
+    head = list(range(degree + 1))
+    tail = list(range(degree + 1))
+    steps = [0] * (degree + 1)
     raw: list[Permutation] = []
     nodes = 0
-
-    def propagate(j0: int, k0: int) -> tuple[bool, list[int]]:
-        # Chase sigma(rev(k)) = adv(j) around its closed chain of four.
-        placed: list[int] = []
-        j, k = j0, k0
-        while True:
-            if sigma[j]:
-                if sigma[j] == k:
-                    break
-                return False, placed
-            if used[k]:
-                return False, placed
-            sigma[j] = k
-            used[k] = True
-            placed.append(j)
-            j, k = rev[k], adv[j]
-            if j == j0 and k == k0:
-                break
-        return True, placed
-
-    def newly_closed(placed: list[int]) -> dict[int, int]:
-        # Cycles that the fresh assignments just completed, keyed by
-        # their smallest symbol so shared cycles count once.
-        found: dict[int, int] = {}
-        for j in placed:
-            low, length, cur = j, 1, sigma[j]
-            while cur and cur != j:
-                if cur < low:
-                    low = cur
-                length += 1
-                cur = sigma[cur]
-            if cur:
-                found[low] = length
-        return found
 
     def extend(pos: int, closed: int, closed_bigons: int, assigned: int) -> None:
         nonlocal nodes
@@ -177,8 +152,8 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
         while j <= degree and sigma[j]:
             j += 1
         if j > degree:
-            _, faces, bigons = _kernel.faces(sigma)
-            if faces == target_faces and bigons <= query.punctures:
+            # Every face is closed here, so `closed` is the face count.
+            if closed == target_faces:
                 perm = Permutation(sigma[1:])
                 if not validate(FillingInstance(perm, query.genus, query.punctures)).valid:
                     raise RuntimeError("internal inconsistency: search produced an invalid candidate")
@@ -200,22 +175,45 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                 raise SearchLimitError(f"node budget {query.max_nodes} exhausted")
             if nodes % 256 == 0 and time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
-            ok, placed = propagate(j, k)
-            if ok:
-                just = newly_closed(placed)
-                total = closed + len(just)
-                bigons = closed_bigons + sum(1 for length in just.values() if length == 2)
-                done = assigned + len(placed)
-                feasible = (
-                    total <= target_faces
-                    and bigons <= query.punctures
-                    and not (total == target_faces and done < degree)
-                )
-                if feasible:
-                    extend(j + 1, total, bigons, done)
-            for s in placed:
-                used[sigma[s]] = False
-                sigma[s] = 0
+            # Chase sigma(rev(b)) = adv(a) around its closed chain of four.
+            # Each step closes a face when b starts a's own segment, else
+            # joins the two segments.
+            placed: list[int] = []
+            total, bigons = closed, closed_bigons
+            a, b = j, k
+            while True:
+                if sigma[a] or used[b]:
+                    ok = sigma[a] == b
+                    break
+                sigma[a] = b
+                used[b] = True
+                placed.append(a)
+                s = head[a]
+                if s == b:
+                    total += 1
+                    bigons += steps[b] == 1
+                else:
+                    e = tail[b]
+                    tail[s], head[e] = e, s
+                    steps[s] += steps[b] + 1
+                a, b = rev[b], adv[a]
+                if a == j and b == k:
+                    ok = True
+                    break
+            done = assigned + len(placed)
+            if ok and total <= target_faces and bigons <= query.punctures and (
+                total < target_faces or done == degree
+            ):
+                extend(j + 1, total, bigons, done)
+            # Undo newest first; a join left head[a] and tail[b] untouched.
+            for a in reversed(placed):
+                b = sigma[a]
+                s = head[a]
+                if s != b:
+                    tail[s], head[tail[b]] = a, b
+                    steps[s] -= steps[b] + 1
+                used[b] = False
+                sigma[a] = 0
 
     try:
         extend(1, 0, 0, 0)

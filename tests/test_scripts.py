@@ -1,0 +1,20 @@
+"""The experiment scripts, run as a user runs them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_minimality_scan_reports_exhausted_budget(checkout_on_pythonpath):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "minimality_scan.py"), "--max-seconds", "0"],
+        capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
+    # Searches under 256 nodes never read the clock, so small surfaces still finish.
+    assert "S_1,0: n1:2  [minimum 1 confirmed" in proc.stdout
+    assert lines[-1] == "10 surface(s) ran out of budget"

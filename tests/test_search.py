@@ -1,5 +1,7 @@
 """Propagation search vs. the brute-force oracle, plus symmetry machinery."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,6 +67,36 @@ class TestKnownSets:
 def test_oracle_equivalence(genus, punctures, n):
     query = SearchQuery(genus, punctures, n)
     assert enumerate_solutions(query).solutions == naive_enumerate(query).solutions
+
+
+# Search tree recorded before the segment bookkeeping replaced the per-node
+# path walks: nodes explored, raw count and a SHA-256 of the sorted solution
+# images.  The emptiness rows are the benchmark's sphere sweep.
+EMPTY_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+SPHERE_NODES = {
+    0: (2, 12, 54, 360, 3178, 35076),
+    1: (2, 12, 78, 600, 5674, 65364),
+    2: (2, 12, 78, 632, 6290, 74788),
+    3: (2, 12, 78, 632, 6330, 75924),
+}
+PINNED_TREES = [
+    *(((0, p, n), {}, nodes, 0, EMPTY_DIGEST)
+      for p, row in SPHERE_NODES.items() for n, nodes in enumerate(row, 1)),
+    ((2, 3, 5), {}, 6210, 2300, "dbd02ed9666a451583a582e9fc568d15fb0310f61b038bba40d537289b287e81"),
+    ((1, 2, 3), {}, 78, 48, "a358bef55da88d63d4e120ddb14407749ece4f93d95d7d85828274265247f988"),
+    ((1, 2, 4), {"symmetry_prune": True}, 158, 44,
+     "99a417f5043689a790ebd251c196da5a399c2d1102a82a736dafe6191430b19d"),
+    ((2, 3, 5), {"limit": 7}, 21, 7, "4e64ca2ee73c1898a683dfdad54c91ca1d02cbabfce928c5dedddd7db580a3d3"),
+]
+
+
+def test_pinned_search_trees():
+    assert sum(map(sum, SPHERE_NODES.values())) == 275192
+    for params, options, nodes, raw, digest in PINNED_TREES:
+        result = enumerate_solutions(SearchQuery(*params, **options))
+        images = repr(sorted(p.images for p in result.solutions)).encode()
+        assert (result.nodes_explored, result.raw_count, hashlib.sha256(images).hexdigest()) == (
+            nodes, raw, digest), (params, options)
 
 
 class TestOutputDiscipline:
