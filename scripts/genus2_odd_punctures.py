@@ -5,7 +5,8 @@ Starting from the known five-crossing pair on the thrice-punctured
 genus-2 surface, double-bigon moves raise the puncture count two at a
 time.  Every intermediate certificate is re-validated, and the achieved
 n meets the feasibility floor 2g + p - 2, so each line certifies the
-exact minimal crossing number for that surface.
+exact minimal crossing number for that surface.  Exits 1 when any line
+is not certified.
 """
 
 import argparse
@@ -15,7 +16,8 @@ from fillperm import FillingInstance, Permutation, SurgerySite, double_bigon, va
 from fillperm.certificates import GENUS2_BASE
 
 
-def report_line(instance: FillingInstance, millis: float | None) -> str:
+def report_line(instance: FillingInstance, millis: float | None) -> tuple[bool, str]:
+    """Whether the instance certifies its surface's minimum, and the line saying so."""
     floor = 2 * instance.genus + instance.punctures - 2
     ok = validate(instance).valid and instance.n == floor
     cells = [
@@ -26,7 +28,7 @@ def report_line(instance: FillingInstance, millis: float | None) -> str:
     ]
     if millis is not None:
         cells.append(f"{millis:.2f} ms")
-    return "  ".join(cells)
+    return ok, "  ".join(cells)
 
 
 def main() -> int:
@@ -38,17 +40,19 @@ def main() -> int:
         ap.error("--max-punctures must be odd and at least 3")
 
     current = FillingInstance(Permutation.parse(GENUS2_BASE), genus=2, punctures=3)
-    print(report_line(current, millis=None))
-    if args.print_sigma:
-        print(f"  sigma = {current.sigma}")
-    while current.punctures < args.max_punctures:
+    millis = None
+    all_ok = True
+    while True:
+        ok, line = report_line(current, millis)
+        all_ok &= ok
+        print(line)
+        if args.print_sigma:
+            print(f"  sigma = {current.sigma}")
+        if current.punctures >= args.max_punctures:
+            return 0 if all_ok else 1
         t0 = time.perf_counter()
         current = double_bigon(current, SurgerySite(1))
         millis = (time.perf_counter() - t0) * 1000
-        print(report_line(current, millis))
-        if args.print_sigma:
-            print(f"  sigma = {current.sigma}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ def structure_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def parity_offender(s: Sequence[int]) -> int | None:
     """First symbol sent to a symbol of its own parity."""
-    return next((j for j in range(1, len(s)) if (j + s[j]) % 2 == 0), None)
+    # In a bijection, odd symbols that all reach even ones leave only odd images for the even symbols.
+    if not any([v & 1 for v in s[1::2]]):
+        return None
+    return next(j for j in range(1, len(s)) if (j + s[j]) % 2 == 0)
 
 
 def equation_offender(s: Sequence[int], rev: Sequence[int], adv: Sequence[int]) -> int | None:
@@ -73,17 +76,19 @@ def corner_rotation(s: Sequence[int], rev: Sequence[int]) -> list[int]:
     return [rev[k] for k in s]
 
 
-def components(face_of: Sequence[int], count: int, rev: Sequence[int]) -> int:
-    """Components of the face graph whose edges glue each side to its reversal."""
+def components(face_of: Sequence[int], count: int) -> int:
+    """Components of the face graph whose edges glue side j to its reversal j + 2n."""
+    half = len(face_of) // 2
     parent = list(range(count))
-    for a, b in {(face_of[j], face_of[rev[j]]) for j in range(1, len(rev))}:
+    for a, b in zip(face_of[1 : half + 1], face_of[half + 1 :]):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
-    return sum(parent[f] == f for f in range(count))
+            count -= 1
+    return count
 
 
 def _shift_map(n: int, a: int, b: int) -> list[int]:

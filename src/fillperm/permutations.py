@@ -80,13 +80,15 @@ class Permutation:
         if not imgs:
             raise ValueError("degree must be at least 1")
         m = len(imgs)
-        seen = [False] * m
-        for v in imgs:
-            if not 1 <= v <= m:
-                raise ValueError(f"image {v} outside 1..{m}")
-            if seen[v - 1]:
-                raise ValueError(f"not a bijection: image {v} repeats")
-            seen[v - 1] = True
+        if not set(imgs).issuperset(range(1, m + 1)):
+            # Not a bijection; walk the images only to name the first bad one.
+            seen = [False] * m
+            for v in imgs:
+                if not 1 <= v <= m:
+                    raise ValueError(f"image {v} outside 1..{m}")
+                if seen[v - 1]:
+                    raise ValueError(f"not a bijection: image {v} repeats")
+                seen[v - 1] = True
         self._images = imgs
 
     @property

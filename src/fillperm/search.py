@@ -3,13 +3,15 @@
 Fixing sigma(j) = k forces sigma(rev(k)) = adv(j), and iterating that
 implication closes up after four assignments.  The search therefore
 guesses one value per block of four symbols, pruning on bijectivity,
-parity and the running face counts, and re-validates every solution it
-reports.  The face counts come from the open path segments of the
-partial sigma, each known by its start, end and step count: an
-assignment either closes a face of known length or joins two segments,
-in constant time, and is undone the same way.  A brute-force oracle
-over the full symmetric group covers degrees up to 8 and exists so the
-two routes can be checked against each other.
+parity and the running face counts.  The face counts come from the open
+path segments of the partial sigma, each known by its start, end and
+step count: an assignment either closes a face of known length or joins
+two segments, in constant time, and is undone the same way.  Every
+solution still passes the public ``validate``, which computes the nine
+checks' numbers and builds no report text unless it is read.  The time
+budget covers the search and dedup.  A brute-force oracle over the full
+symmetric group covers degrees up to 8 and exists so the two routes can
+be checked against each other.
 """
 
 from __future__ import annotations
@@ -113,8 +115,13 @@ def canonical_form(sigma: Permutation) -> Permutation:
     return Permutation(_kernel.canonical((0, *sigma.images), sigma.degree // 4)[1:])
 
 
-def _deduplicate(raw: list[Permutation]) -> tuple[Permutation, ...]:
-    return tuple(sorted({canonical_form(s) for s in raw}, key=lambda p: p.images))
+def _deduplicate(raw: list[Permutation], query: SearchQuery, deadline: float) -> tuple[Permutation, ...]:
+    classes = set()
+    for s in raw:
+        if time.perf_counter() > deadline:
+            raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
+        classes.add(canonical_form(s))
+    return tuple(sorted(classes, key=lambda p: p.images))
 
 
 def enumerate_solutions(query: SearchQuery) -> SearchResult:
@@ -221,7 +228,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
         pass
 
     raw.sort(key=lambda p: p.images)
-    solutions = _deduplicate(raw) if query.dedup else tuple(raw)
+    solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
     return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)
 
 
@@ -248,5 +255,5 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
         if validate(FillingInstance(perm, query.genus, query.punctures)).valid:
             raw.append(perm)
     raw.sort(key=lambda p: p.images)
-    solutions = _deduplicate(raw) if query.dedup else tuple(raw)
+    solutions = _deduplicate(raw, query, start + query.max_seconds) if query.dedup else tuple(raw)
     return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)

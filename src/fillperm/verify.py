@@ -64,12 +64,51 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The raw values behind the nine checks; their text is formatted only when read."""
+
     n: int
-    checks: tuple[CheckResult, ...]
+    genus: int
+    punctures: int
+    parity_offender: tuple[int, int] | None  # first symbol sent to its own parity, and its image
+    equation_offender: tuple[int, int, int] | None  # first symbol off the filling equation, and both sides
+    faces: int
+    bigons: int
+    bad_orbit: tuple[int, int] | None  # smallest symbol and size of the first corner orbit not a 4-cycle
+    euler_characteristic: int
+    components: int
 
     @property
     def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
+        expected_faces = self.n + 2 - 2 * self.genus
+        return (
+            self.parity_offender is None and self.equation_offender is None and self.faces == expected_faces
+            and self.bigons <= self.punctures <= expected_faces and self.bad_orbit is None
+            and self.euler_characteristic == 2 - 2 * self.genus and self.components == 1
+        )
+
+    @property
+    def checks(self) -> tuple[CheckResult, ...]:
+        """The nine checks in order, their text formatted on each read."""
+        n, g, p, faces, bigons = self.n, self.genus, self.punctures, self.faces, self.bigons
+        chi = self.euler_characteristic
+        expected_faces = n + 2 - 2 * g
+        parity, equation, orbit = self.parity_offender, self.equation_offender, self.bad_orbit
+        return (
+            CheckResult("degree-divisible-by-4", True, f"degree {4 * n} = 4*{n}"),
+            _check("parity-reversing", parity and "symbol {} maps to {} of the same parity".format(*parity)),
+            _check(
+                "filling-equation",
+                equation and "at symbol {}: side-reversal-side gives {}, curve advance gives {}".format(*equation),
+            ),
+            CheckResult("cycle-count", True, f"{faces} faces force genus {g}") if faces == expected_faces
+            else _check("cycle-count", f"{faces} cycles, expected n+2-2g = {expected_faces}"),
+            _check("two-cycle-bound", "" if bigons <= p else f"{bigons} bigon faces but only {p} punctures"),
+            _check("puncture-feasibility", "" if p <= expected_faces else f"p = {p} exceeds n+2-2g = {expected_faces}"),
+            # With every corner orbit a 4-cycle there are exactly n of them.
+            _check("vertex-classes", orbit and "orbit of {} has size {}, expected 4".format(*orbit)),
+            _check("euler-characteristic", "" if chi == 2 - 2 * g else f"V-E+F = {chi}, expected 2-2g = {2 - 2 * g}"),
+            _check("connectivity", "" if self.components == 1 else f"{self.components} components after gluing"),
+        )
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -110,57 +149,26 @@ def vertex_classes(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     return _kernel.cycles(_kernel.corner_rotation(s, rev))
 
 
-def _check(name: str, failure: str) -> CheckResult:
+def _check(name: str, failure: str | None) -> CheckResult:
     """A check that passes exactly when there is no failure detail."""
-    return CheckResult(name, not failure, failure)
+    return CheckResult(name, not failure, failure or "")
 
 
 def validate(instance: FillingInstance) -> ValidationReport:
     """Run all nine structural checks; nothing raises, failures are reported."""
-    g, p = instance.genus, instance.punctures
     n = instance.n
     s, rev, adv = _kernel_view(instance.sigma)
-    checks = [CheckResult("degree-divisible-by-4", True, f"degree {4 * n} = 4*{n}")]
-
-    offender = _kernel.parity_offender(s)
-    parity_failure = "" if offender is None else f"symbol {offender} maps to {s[offender]} of the same parity"
-    checks.append(_check("parity-reversing", parity_failure))
-
-    bad = _kernel.equation_offender(s, rev, adv)
-    equation_failure = "" if bad is None else (
-        f"at symbol {bad}: side-reversal-side gives {s[rev[s[bad]]]}, curve advance gives {adv[bad]}"
-    )
-    checks.append(_check("filling-equation", equation_failure))
-
+    parity = _kernel.parity_offender(s)
+    equation = _kernel.equation_offender(s, rev, adv)
     face_of, faces, bigons = _kernel.faces(s)
-    expected_faces = n + 2 - 2 * g
-    if faces == expected_faces:
-        checks.append(CheckResult("cycle-count", True, f"{faces} faces force genus {g}"))
-    else:
-        checks.append(_check("cycle-count", f"{faces} cycles, expected n+2-2g = {expected_faces}"))
-    checks.append(_check("two-cycle-bound", "" if bigons <= p else f"{bigons} bigon faces but only {p} punctures"))
-    checks.append(
-        _check("puncture-feasibility", "" if p <= expected_faces else f"p = {p} exceeds n+2-2g = {expected_faces}")
-    )
-
     classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
-    bad_orbit = next((c for c in classes if len(c) != 4), None)
-    if bad_orbit is not None:
-        vertex_failure = f"orbit of {bad_orbit[0]} has size {len(bad_orbit)}, expected 4"
-    elif len(classes) != n:
-        vertex_failure = f"{len(classes)} vertex classes, expected n = {n}"
-    else:
-        vertex_failure = ""
-    checks.append(_check("vertex-classes", vertex_failure))
-
-    chi = len(classes) - 2 * n + faces
-    euler_failure = "" if chi == 2 - 2 * g else f"V-E+F = {chi}, expected 2-2g = {2 - 2 * g}"
-    checks.append(_check("euler-characteristic", euler_failure))
-
-    components = _kernel.components(face_of, faces, rev)
-    checks.append(_check("connectivity", "" if components == 1 else f"{components} components after gluing"))
-
-    return ValidationReport(n, tuple(checks))
+    bad_orbit = next(((c[0], len(c)) for c in classes if len(c) != 4), None)
+    return ValidationReport(
+        n, instance.genus, instance.punctures,
+        None if parity is None else (parity, s[parity]),
+        None if equation is None else (equation, s[rev[s[equation]]], adv[equation]),
+        faces, bigons, bad_orbit, len(classes) - 2 * n + faces, _kernel.components(face_of, faces),
+    )
 
 
 def faces_as_words(sigma: Permutation) -> tuple[tuple[ArcLabel, ...], ...]:

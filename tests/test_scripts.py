@@ -18,3 +18,14 @@ def test_minimality_scan_reports_exhausted_budget(checkout_on_pythonpath):
     # Searches under 256 nodes never read the clock, so small surfaces still finish.
     assert "S_1,0: n1:2  [minimum 1 confirmed" in proc.stdout
     assert lines[-1] == "10 surface(s) ran out of budget"
+
+
+def test_genus2_odd_punctures_certifies_every_cell(checkout_on_pythonpath):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "genus2_odd_punctures.py"), "--max-punctures", "13"],
+        capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split()[0] for line in lines] == [f"S_2,{p}" for p in range(3, 14, 2)]
+    assert sum("certified" in line.split() for line in lines) == 6

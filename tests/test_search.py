@@ -1,6 +1,7 @@
 """Propagation search vs. the brute-force oracle, plus symmetry machinery."""
 
 import hashlib
+import types
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from fillperm import (
     symmetry_group,
     validate,
 )
+import fillperm.search as search_module
 from fillperm.search import _symmetry_elements
 
 from conftest import small_parameter_grid
@@ -129,6 +131,19 @@ class TestBudgets:
     def test_time_budget(self):
         with pytest.raises(SearchLimitError, match="time budget"):
             enumerate_solutions(SearchQuery(2, 3, 5, max_seconds=0.0))
+
+    def test_time_budget_covers_dedup(self, monkeypatch):
+        def run(dedup):
+            # The clock reads 0 at the start and past the budget ever after.
+            ticks = iter([0.0])
+            monkeypatch.setattr(search_module, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks, 10.0)))
+            return enumerate_solutions(SearchQuery(1, 2, 3, dedup=dedup, max_seconds=5.0))
+
+        # Under 256 nodes the search itself never reads the clock, so only dedup can trip it.
+        result = run(dedup=False)
+        assert (result.nodes_explored, result.raw_count) == (78, 48)
+        with pytest.raises(SearchLimitError, match="time budget 5.0s exhausted"):
+            run(dedup=True)
 
     @pytest.mark.parametrize("kwargs", [
         {"genus": -1, "punctures": 0, "n": 1},

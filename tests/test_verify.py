@@ -244,6 +244,8 @@ class TestFrozenOutputs:
         reports = [validate(FillingInstance(*case)) for case in corpus]
         assert (len(reports), sum(r.valid for r in reports)) == (CORPUS_SIZE, CORPUS_VALID)
         assert _digest("\n".join(r.lines()) for r in reports) == VALIDATE_SHA256
+        # The verdict comes from the raw values and the check text is built apart from it.
+        assert all(r.valid == (not r.failures()) and len(r.checks) == 9 for r in reports)
 
     def test_gluing_and_corner_structure(self, corpus):
         def describe(sigma: Permutation, punctures: int) -> str:
