@@ -46,6 +46,9 @@ class _StopSearch(Exception):
 
 @dataclass(frozen=True)
 class SearchQuery:
+    """``symmetry_prune`` keeps exactly one solution per orbit of the second
+    curve's basepoint shift, so the unpruned raw count is n times the pruned one."""
+
     genus: int
     punctures: int
     n: int

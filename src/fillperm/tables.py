@@ -68,17 +68,24 @@ def cross_validate(
 ) -> CrossValidation:
     """Probe search emptiness for every n up to ``n_max`` against the table.
 
-    Raises :class:`CrossValidationError` when the search finds a smallest
+    Each count is the full raw count, but the search walks one solution
+    per orbit of the second curve's basepoint shifts, so ``max_nodes``
+    and ``max_seconds`` bound that quotient tree.  Raises
+    :class:`CrossValidationError` when the search finds a smallest
     nonempty n that contradicts the closed form (or finds any solution on
     a surface where no filling pair should exist).
     """
     counts: list[tuple[int, int]] = []
     smallest: int | None = None
     for n in range(1, n_max + 1):
-        result = enumerate_solutions(
-            SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)
-        )
-        counts.append((n, result.raw_count))
+        # The second curve's basepoint shift fixes the odd symbol 1 and moves
+        # the even sigma(1) along its curve in its orientation, so the shifts
+        # (order n) act freely and each orbit has exactly one solution with
+        # sigma(1) in {2, 2n+2}: the ones symmetry_prune keeps.
+        result = enumerate_solutions(SearchQuery(
+            genus, punctures, n, symmetry_prune=True, max_nodes=max_nodes, max_seconds=max_seconds
+        ))
+        counts.append((n, n * result.raw_count))
         if result.raw_count and smallest is None:
             smallest = n
     try:

@@ -17,7 +17,10 @@ def test_minimality_scan_reports_exhausted_budget(checkout_on_pythonpath):
     assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
     # Searches under 256 nodes never read the clock, so small surfaces still finish.
     assert "S_1,0: n1:2  [minimum 1 confirmed" in proc.stdout
-    assert lines[-1] == "10 surface(s) ran out of budget"
+    assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == [
+        "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,3", "S_2,4",
+    ]
+    assert lines[-1] == "6 surface(s) ran out of budget"
 
 
 def test_genus2_odd_punctures_certifies_every_cell(checkout_on_pythonpath):

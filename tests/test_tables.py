@@ -5,7 +5,9 @@ import pytest
 from fillperm import (
     CrossValidationError,
     NoFillingPairError,
+    SearchQuery,
     cross_validate,
+    enumerate_solutions,
     min_intersection,
 )
 
@@ -85,6 +87,18 @@ class TestCrossValidation:
     def test_one_punctured_torus_minimum_confirmed(self):
         cv = cross_validate(1, 1, n_max=2)
         assert cv.smallest_nonempty == 1 == cv.expected
+
+    @pytest.mark.parametrize(
+        "genus, punctures, n_max",
+        [(g, p, 5) for g in range(4) for p in range(7)] + [(0, p, 6) for p in range(4)],
+    )
+    def test_counts_equal_the_unpruned_raw_counts(self, genus, punctures, n_max):
+        # cross_validate walks one solution per second-curve basepoint-shift
+        # orbit and multiplies by n; the full search must see the same totals.
+        cv = cross_validate(genus, punctures, n_max=n_max)
+        assert [n for n, _ in cv.counts] == list(range(1, n_max + 1))
+        for n, count in cv.counts:
+            assert count == enumerate_solutions(SearchQuery(genus, punctures, n)).raw_count
 
     # The disagreement paths only fire when search and table contradict
     # each other, so a lying search stub stands in for a real bug.

@@ -1,6 +1,8 @@
 """Validation checks and surface gluing, anchored on the genus-2 certificate."""
 
+import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -171,6 +173,35 @@ class TestIndividualFailures:
         assert not report.valid
         assert report.lines()[-1] == "result: INVALID"
         assert any("FAIL" in line for line in report.lines())
+
+    # No corpus case fails vertex-classes or connectivity alone (and none can
+    # fail vertex-classes alone), so these two terms of ``valid`` are seen
+    # only on reports built by hand.
+
+    def test_bad_orbit_alone_invalidates(self, genus2_instance):
+        report = dataclasses.replace(validate(genus2_instance), bad_orbit=(1, 2))
+        assert report.valid is False
+        assert failing_names(report) == {"vertex-classes"}
+
+    def test_two_components_alone_invalidate(self, genus2_instance):
+        report = dataclasses.replace(validate(genus2_instance), components=2)
+        assert report.valid is False
+        assert failing_names(report) == {"connectivity"}
+
+    def test_filling_equation_forces_four_cycle_corners(self):
+        # The corner rotation squared is reversal after advance, a
+        # fixed-point-free involution, so every corner orbit has size 4 and
+        # there are n vertices: chi = n - 2n + faces.
+        seen = 0
+        for images in itertools.permutations(range(1, 9)):
+            sigma = Permutation(images)
+            if not (sigma.is_parity_reversing() and check_filling_equation(sigma)):
+                continue
+            report = validate(FillingInstance(sigma, 0, 0))
+            assert report.bad_orbit is None
+            assert report.euler_characteristic == report.faces - 2
+            seen += 1
+        assert seen == 8
 
 
 class TestInstanceConstruction:
