@@ -23,6 +23,13 @@ def structure_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rev, adv
 
 
+@lru_cache(maxsize=8)
+def corner_square(n: int) -> tuple[int, ...]:
+    """Reversal after curve advance, padded: the corner rotation squared where the filling equation holds."""
+    rev, adv = structure_maps(n)
+    return tuple([rev[k] for k in adv])
+
+
 def parity_offender(s: Sequence[int]) -> int | None:
     """First symbol sent to a symbol of its own parity."""
     # In a bijection, odd symbols that all reach even ones leave only odd images for the even symbols.
@@ -91,14 +98,15 @@ def components(face_of: Sequence[int], count: int) -> int:
     return count
 
 
-def _shift_map(n: int, a: int, b: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _shift_map(n: int, a: int, b: int) -> tuple[int, ...]:
     """Basepoint shift moving every first-curve arc a places and every second-curve arc b."""
     half = 2 * n
     e = list(range(4 * n + 1))
     for start, k in ((1, a), (2, b), (half + 1, a), (half + 2, b)):
         arcs = e[start : start + half : 2]
         e[start : start + half : 2] = arcs[k:] + arcs[:k]
-    return e
+    return tuple(e)
 
 
 def _conjugate(s: Sequence[int], n: int, a: int, b: int) -> list[int]:
@@ -118,8 +126,11 @@ def canonical(s: Sequence[int], n: int) -> list[int]:
     for a in range(n):
         k = s[2 * (-a % n) + 1]
         i, beta = divmod((k - 1) % half, 2)
-        for b in range(n):
-            shift = b if beta else a
-            firsts.append((k + 2 * shift - (half if i + shift >= n else 0), a, b))
+        if beta:
+            # A second-curve image: exactly one b moves its arc to the front of its half.
+            firsts.append((k - 2 * i, a, -i % n))
+        else:
+            first = k + 2 * a - (half if i + a >= n else 0)
+            firsts.extend((first, a, b) for b in range(n))
     low = min(firsts)[0]
     return min(_conjugate(s, n, a, b) for first, a, b in firsts if first == low)

@@ -53,9 +53,11 @@ def _splice(instance: FillingInstance, site: SurgerySite) -> FillingInstance:
     s = (0, *instance.sigma.images)
     rev, _ = _kernel.structure_maps(n)
 
-    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
-    orbit = next((c for c in classes if c[0] == site.vertex_class), None)
-    if orbit is None:
+    # Every corner orbit of a valid instance is a 4-cycle: four rotation steps from the site.
+    orbit = [site.vertex_class] if site.vertex_class in range(1, 4 * n + 1) else []
+    while 0 < len(orbit) < 4:
+        orbit.append(rev[s[orbit[-1]]])
+    if not orbit or min(orbit) != site.vertex_class:
         raise ValueError(f"no vertex class is labeled {site.vertex_class}")
 
     # The four corners at the vertex: each curve arrives along a forward

@@ -20,6 +20,10 @@ __all__ = ["CycleDecomposition", "Permutation"]
 _CYCLE = re.compile(r"\((\d+(?:,\d+)*)\)")
 
 
+def _cycle_notation(cycles: Iterable[Sequence[int]]) -> str:
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+
+
 def _rotate_min_first(cycle: Sequence[int]) -> tuple[int, ...]:
     k = cycle.index(min(cycle))
     return tuple(cycle[k:]) + tuple(cycle[:k])
@@ -58,7 +62,7 @@ class CycleDecomposition:
         return tuple(len(c) for c in self.cycles)
 
     def __str__(self) -> str:
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
+        return _cycle_notation(self.cycles)
 
 
 class Permutation:
@@ -202,4 +206,5 @@ class Permutation:
         return f"Permutation({self._images!r})"
 
     def __str__(self) -> str:
-        return str(self.to_cycles())
+        # The kernel's cycles are already canonical: smallest symbol first, sorted, fixed points kept.
+        return _cycle_notation(_kernel.cycles((0, *self._images)))

@@ -161,13 +161,15 @@ def validate(instance: FillingInstance) -> ValidationReport:
     parity = _kernel.parity_offender(s)
     equation = _kernel.equation_offender(s, rev, adv)
     face_of, faces, bigons = _kernel.faces(s)
-    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
-    bad_orbit = next(((c[0], len(c)) for c in classes if len(c) != 4), None)
+    c = _kernel.corner_rotation(s, rev)
+    # A square equal to reversal after advance, a fixed-point-free involution, makes all n orbits 4-cycles.
+    classes = () if tuple([c[k] for k in c]) == _kernel.corner_square(n) else _kernel.cycles(c)
+    bad_orbit = next(((o[0], len(o)) for o in classes if len(o) != 4), None)
     return ValidationReport(
         n, instance.genus, instance.punctures,
         None if parity is None else (parity, s[parity]),
         None if equation is None else (equation, s[rev[s[equation]]], adv[equation]),
-        faces, bigons, bad_orbit, len(classes) - 2 * n + faces, _kernel.components(face_of, faces),
+        faces, bigons, bad_orbit, (len(classes) or n) - 2 * n + faces, _kernel.components(face_of, faces),
     )
 
 

@@ -278,3 +278,20 @@ def test_frozen_command_outputs(capsys, tmp_path):
         digest.update(f"{code}\n{out}\n{err}\n".replace(str(out_file), "OUT").encode())
     digest.update(out_file.read_bytes())
     assert digest.hexdigest() == FROZEN_SHA256
+
+
+# Recorded with the n*n first-image scan, uncached shift maps and printing
+# through CycleDecomposition: canonicalisation and cycle notation over all
+# 23616 solutions of S_2,4 at n = 6.
+SEARCH_SHA256 = {
+    (): "a742afce1128b8c27e4d6672b7d8c8040cc3d8fb722011856482779f211083a1",
+    ("--dedup",): "5f724fee5045fd138b1a1b9ff114ff95a8ebf35b679e0e478575cd0924485d24",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(SEARCH_SHA256), ids=["raw", "dedup"])
+def test_frozen_genus2_four_puncture_search(capsys, extra):
+    code, out, err = run_cli(capsys, "search", "--genus", "2", "--punctures", "4", "--n", "6", *extra)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "count=23616 dedup=664 nodes=75780"
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[extra]

@@ -57,6 +57,10 @@ class TestCycleNotation:
         assert str(Permutation.parse("(14,1,2,19)", degree=20)).startswith("(1,2,19,14)")
         assert str(Permutation((2, 1, 3, 4))) == "(1,2)(3)(4)"
 
+    @given(permutations(max_degree=40))
+    def test_str_matches_the_cycle_decomposition(self, p):
+        assert str(p) == str(p.to_cycles())
+
     @pytest.mark.parametrize("text", ["", "(1,2", "nope", "(1,2)x(3,4)", "(1,1)"])
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from fillperm import (
     validate,
     vertex_classes,
 )
+from fillperm import _kernel
 
 CHECK_NAMES = [
     "degree-divisible-by-4",
@@ -202,6 +203,30 @@ class TestIndividualFailures:
             assert report.euler_characteristic == report.faces - 2
             seen += 1
         assert seen == 8
+
+    def test_cached_corner_square_is_a_fixed_point_free_involution(self):
+        # validate reads "every corner orbit is a 4-cycle" off this square.
+        for n in range(1, 65):
+            square = _kernel.corner_square(n)
+            assert square[0] == 0 and sorted(square) == list(range(4 * n + 1))
+            assert all(square[j] != j and square[square[j]] == j for j in range(1, 4 * n + 1))
+
+    def test_four_cycle_corners_without_the_equation_take_the_walk(self):
+        # (1,2,4,3)'s corner rotation is one 4-cycle whose square is not reversal after advance.
+        report = validate(FillingInstance(Permutation((1, 2, 4, 3)), 0, 0))
+        assert report.equation_offender is not None and report.bad_orbit is None
+        assert report.euler_characteristic == 1 - 2 + report.faces
+        seen = 0
+        for images in itertools.permutations(range(1, 9)):
+            sigma = Permutation(images)
+            classes = vertex_classes(sigma)
+            if any(len(c) != 4 for c in classes) or check_filling_equation(sigma):
+                continue
+            report = validate(FillingInstance(sigma, 0, 0))
+            assert report.bad_orbit is None
+            assert report.euler_characteristic == len(classes) - 4 + report.faces
+            seen += 1
+        assert seen == 1248
 
 
 class TestInstanceConstruction:
