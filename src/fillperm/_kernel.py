@@ -23,13 +23,6 @@ def structure_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rev, adv
 
 
-@lru_cache(maxsize=8)
-def corner_square(n: int) -> tuple[int, ...]:
-    """Reversal after curve advance, padded: the corner rotation squared where the filling equation holds."""
-    rev, adv = structure_maps(n)
-    return tuple([rev[k] for k in adv])
-
-
 def parity_offender(s: Sequence[int]) -> int | None:
     """First symbol sent to a symbol of its own parity."""
     # In a bijection, odd symbols that all reach even ones leave only odd images for the even symbols.

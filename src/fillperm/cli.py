@@ -38,6 +38,8 @@ def _add_sigma_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_sigma(args: argparse.Namespace) -> Permutation:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.sigma is not None:
         text = args.sigma
     elif args.sigma_file == "-":
@@ -45,8 +47,7 @@ def _load_sigma(args: argparse.Namespace) -> Permutation:
     else:
         with open(args.sigma_file, encoding="utf-8") as fh:
             text = fh.read()
-    degree = 4 * args.n if args.n else None
-    return Permutation.parse(text, degree=degree)
+    return Permutation.parse(text, degree=None if args.n is None else 4 * args.n)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ pairing, vertex classes, Euler characteristic and puncture placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernel
 from .arcs import ArcLabel, label_of
@@ -155,22 +156,36 @@ def _check(name: str, failure: str | None) -> CheckResult:
 
 
 def validate(instance: FillingInstance) -> ValidationReport:
-    """Run all nine structural checks; nothing raises, failures are reported."""
-    n = instance.n
+    """Run the nine structural checks; nothing raises, failures are reported.
+
+    Three values are derived, not walked.  With c = rev∘s, c² = rev∘adv
+    exactly when the filling equation holds, and rev∘adv is a fixed-point-free
+    involution: every corner orbit is then a 4-cycle, so there are n vertex
+    classes and χ = faces - n.  The face graph's components are the orbits of
+    ⟨s, rev⟩, which then holds adv = s∘rev∘s; ⟨adv, rev⟩ has two orbits, the
+    odd and the even symbols, and a parity-reversing s joins them.
+    """
+    n, genus, punctures = instance.n, instance.genus, instance.punctures
     s, rev, adv = _kernel_view(instance.sigma)
     parity = _kernel.parity_offender(s)
     equation = _kernel.equation_offender(s, rev, adv)
     face_of, faces, bigons = _kernel.faces(s)
-    c = _kernel.corner_rotation(s, rev)
-    # A square equal to reversal after advance, a fixed-point-free involution, makes all n orbits 4-cycles.
-    classes = () if tuple([c[k] for k in c]) == _kernel.corner_square(n) else _kernel.cycles(c)
+    if parity is None and equation is None:
+        return _report_on_the_equation(n, genus, punctures, faces, bigons)
+    classes = () if equation is None else _kernel.cycles(_kernel.corner_rotation(s, rev))
     bad_orbit = next(((o[0], len(o)) for o in classes if len(o) != 4), None)
     return ValidationReport(
-        n, instance.genus, instance.punctures,
+        n, genus, punctures,
         None if parity is None else (parity, s[parity]),
         None if equation is None else (equation, s[rev[s[equation]]], adv[equation]),
         faces, bigons, bad_orbit, (len(classes) or n) - 2 * n + faces, _kernel.components(face_of, faces),
     )
+
+
+@lru_cache(maxsize=64)
+def _report_on_the_equation(n: int, genus: int, punctures: int, faces: int, bigons: int) -> ValidationReport:
+    """The report of a parity-reversing permutation on the filling equation: n classes, one component."""
+    return ValidationReport(n, genus, punctures, None, None, faces, bigons, None, faces - n, 1)
 
 
 def faces_as_words(sigma: Permutation) -> tuple[tuple[ArcLabel, ...], ...]:
@@ -232,11 +247,11 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
     face_cycles = _kernel.cycles(s)
     words = tuple(tuple(label_of(k, n) for k in cycle) for cycle in face_cycles)
     classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
-    if any(len(c) != 4 for c in classes):
+    if any(len(c) != 4 for c in classes):  # unreachable: on the equation c² = rev∘adv (see validate)
         raise RuntimeError("internal inconsistency: a corner orbit is not a 4-cycle")
 
     chi = len(classes) - 2 * n + len(face_cycles)
-    if (2 - chi) % 2:
+    if (2 - chi) % 2:  # unreachable: the gluing is orientable and, by validate's lemma, connected
         raise RuntimeError("internal inconsistency: odd Euler characteristic defect")
     genus = (2 - chi) // 2
 

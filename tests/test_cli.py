@@ -65,6 +65,14 @@ class TestVerify:
         )
         assert code == 0 and "result: VALID" in out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_crossing_count_below_one_exits_1(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "verify", "--sigma", "(1,2)(3,4)", "--n", n, "--genus", "1", "--punctures", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --n must be at least 1, got {n}\n"
+
     def test_explicit_n_pads_degree(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--sigma", "(1,2)(3,4)", "--n", "2", "--genus", "1", "--punctures", "0"

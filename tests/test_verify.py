@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -190,24 +191,35 @@ class TestIndividualFailures:
         assert failing_names(report) == {"connectivity"}
 
     def test_filling_equation_forces_four_cycle_corners(self):
-        # The corner rotation squared is reversal after advance, a
-        # fixed-point-free involution, so every corner orbit has size 4 and
-        # there are n vertices: chi = n - 2n + faces.
-        seen = 0
+        # The corner rotation squares to reversal after advance, a
+        # fixed-point-free involution, exactly on the filling equation; then
+        # every corner orbit has size 4 and there are n vertices:
+        # chi = n - 2n + faces.  Connectivity needs parity as well.
+        rev, adv = _kernel.structure_maps(2)
+        square = tuple(rev[k] for k in adv)
+        seen = {True: 0, False: 0}
         for images in itertools.permutations(range(1, 9)):
-            sigma = Permutation(images)
-            if not (sigma.is_parity_reversing() and check_filling_equation(sigma)):
+            s = (0, *images)
+            c = _kernel.corner_rotation(s, rev)
+            on_equation = _kernel.equation_offender(s, rev, adv) is None
+            assert on_equation == (tuple(c[k] for k in c) == square)
+            if not on_equation:
                 continue
-            report = validate(FillingInstance(sigma, 0, 0))
+            report = validate(FillingInstance(Permutation(images), 0, 0))
             assert report.bad_orbit is None
             assert report.euler_characteristic == report.faces - 2
-            seen += 1
-        assert seen == 8
+            reversing = _kernel.parity_offender(s) is None
+            assert (report.parity_offender is None) == reversing
+            assert report.components == _kernel.components(*_kernel.faces(s)[:2]) == (1 if reversing else 2)
+            seen[reversing] += 1
+        assert seen == {True: 8, False: 4}
 
-    def test_cached_corner_square_is_a_fixed_point_free_involution(self):
-        # validate reads "every corner orbit is a 4-cycle" off this square.
+    def test_reversal_after_advance_is_a_fixed_point_free_involution(self):
+        # On the filling equation the corner rotation squares to this map, so
+        # validate reads "every corner orbit is a 4-cycle" off the equation.
         for n in range(1, 65):
-            square = _kernel.corner_square(n)
+            rev, adv = _kernel.structure_maps(n)
+            square = [rev[k] for k in adv]
             assert square[0] == 0 and sorted(square) == list(range(4 * n + 1))
             assert all(square[j] != j and square[square[j]] == j for j in range(1, 4 * n + 1))
 
@@ -227,6 +239,47 @@ class TestIndividualFailures:
             assert report.euler_characteristic == len(classes) - 4 + report.faces
             seen += 1
         assert seen == 1248
+
+
+@pytest.fixture(scope="module")
+def filling_permutations():
+    """Every parity-reversing permutation on the filling equation with n <= 5, keyed by n."""
+    return {
+        n: [
+            sigma
+            for genus in range((n + 1) // 2 + 1)
+            for sigma in enumerate_solutions(SearchQuery(genus, n + 2 - 2 * genus, n)).solutions
+        ]
+        for n in range(1, 6)
+    }
+
+
+class TestDerivedChecks:
+    """validate reads vertex classes, chi and connectivity off parity and the filling equation."""
+
+    def test_count_is_the_crossing_sequence_count(self, filling_permutations):
+        # A pair is its crossings' order along the second curve and their signs:
+        # 2^n n! of them, that is 2, 8, 48, 384 and 3840.
+        assert [len(filling_permutations[n]) for n in range(1, 6)] == [2**n * math.factorial(n) for n in range(1, 6)]
+
+    def test_walks_agree_with_the_derived_values(self, filling_permutations):
+        for n, sigmas in filling_permutations.items():
+            for sigma in sigmas:
+                classes = vertex_classes(sigma)
+                face_of, faces, _ = _kernel.faces((0, *sigma.images))
+                assert len(classes) == n and all(len(c) == 4 for c in classes)
+                assert _kernel.components(face_of, faces) == 1
+                report = validate(FillingInstance(sigma, 0, 0))
+                assert (report.bad_orbit, report.components) == (None, 1)
+                assert report.euler_characteristic == len(classes) - 2 * n + faces
+
+    def test_glue_guards_cannot_fire(self, filling_permutations):
+        # Neither "internal inconsistency" RuntimeError in glue is reachable.
+        for sigmas in filling_permutations.values():
+            for sigma in sigmas:
+                faces = _kernel.faces((0, *sigma.images))[1]
+                surf = glue(sigma, faces)
+                assert surf.euler_characteristic % 2 == 0
 
 
 class TestInstanceConstruction:
