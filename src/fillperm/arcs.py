@@ -23,6 +23,7 @@ __all__ = [
     "curve_advance",
     "index_of",
     "label_of",
+    "label_texts",
     "parse_label",
     "reversal_pairing",
 ]
@@ -85,6 +86,13 @@ def label_of(j: int, n: int) -> ArcLabel:
     if base % 2:
         return ArcLabel(ALPHA, (base + 1) // 2, inverted)
     return ArcLabel(BETA, base // 2, inverted)
+
+
+def label_texts(n: int) -> tuple[str, ...]:
+    """``str(label_of(j, n))`` at index j for every symbol; index 0 is unused."""
+    _check_n(n)
+    forward = [f"{curve}{i}" for i in range(1, n + 1) for curve in "ab"]
+    return ("", *forward, *(text + "'" for text in forward))
 
 
 def index_of(label: ArcLabel, n: int) -> int:

@@ -40,6 +40,8 @@ def _add_sigma_arguments(sub: argparse.ArgumentParser) -> None:
 def _load_sigma(args: argparse.Namespace) -> Permutation:
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.punctures < 0:  # every command that reads a permutation takes --punctures
+        raise ValueError(f"--punctures must be non-negative, got {args.punctures}")
     if args.sigma is not None:
         text = args.sigma
     elif args.sigma_file == "-":

@@ -6,14 +6,16 @@ red, second curve blue) with an arrowhead placed at 58% of its length;
 punctured faces carry a center dot.  Bigons bow their two sides outward
 so both stay visible.  The markup is written directly as text, with
 fixed attribute order and two-decimal coordinates, so the same surface
-always gives the same bytes.
+always gives the same bytes.  Each call works out one shape per side
+count, relative to the face centre, and shifts it along x for every
+face with that many sides.
 """
 
 from __future__ import annotations
 
 import math
 
-from .arcs import ALPHA
+from .arcs import label_texts
 from .verify import GluedSurface
 
 __all__ = ["render_svg"]
@@ -24,27 +26,44 @@ _MARGIN = 60.0
 _LABEL_OFFSET = 18.0
 _ALPHA_COLOR = "#8b0000"
 _BETA_COLOR = "#00008b"
-
-
-def _bezier_point(a, c, b, t):
-    s = 1.0 - t
-    return (
-        s * s * a[0] + 2 * s * t * c[0] + t * t * b[0],
-        s * s * a[1] + 2 * s * t * c[1] + t * t * b[1],
-    )
-
-
-def _bezier_tangent(a, c, b, t):
-    s = 1.0 - t
-    return (
-        2 * s * (c[0] - a[0]) + 2 * t * (b[0] - c[0]),
-        2 * s * (c[1] - a[1]) + 2 * t * (b[1] - c[1]),
-    )
+_T = 0.58  # the arrowhead sits at this parameter of each side's quadratic Bezier curve
+_S = 1.0 - _T
+# Weights of the point s*s*a + 2*s*t*q + t*t*b and the tangent 2*s*(q-a) + 2*t*(b-q) at t = _T.
+# Each is the leftmost product those expressions evaluate first, so the results are the same to the bit.
+_SS, _ST2, _TT, _S2, _T2 = _S * _S, 2 * _S * _T, _T * _T, 2 * _S, 2 * _T
 
 
 def _unit(vx: float, vy: float) -> tuple[float, float]:
     norm = math.hypot(vx, vy)
     return (vx / norm, vy / norm)
+
+
+def _shape(sides: int) -> list[tuple]:
+    """Each side of a ``sides``-gon centred at x = 0: its seven x offsets, then its seven y coordinates formatted."""
+    cy = _MARGIN + _RADIUS
+    angles = [-math.pi / 2 + 2 * math.pi * v / sides for v in range(sides)]
+    points = [(_RADIUS * math.cos(t), cy + _RADIUS * math.sin(t)) for t in angles]
+    out = []
+    for v in range(sides):
+        (ax, ay), (bx, by) = points[v], points[(v + 1) % sides]
+        qx, qy = (ax + bx) / 2, (ay + by) / 2  # the control point, at the midpoint unless bowed
+        if sides == 2:
+            # Both sides join the same endpoints; bow them apart.
+            ux, uy = _unit(bx - ax, by - ay)
+            sign = 1.0 if v == 0 else -1.0
+            qx, qy = qx + sign * 0.6 * _RADIUS * -uy, qy + sign * 0.6 * _RADIUS * ux
+        px, py = _SS * ax + _ST2 * qx + _TT * bx, _SS * ay + _ST2 * qy + _TT * by
+        tx, ty = _unit(_S2 * (qx - ax) + _T2 * (bx - qx), _S2 * (qy - ay) + _T2 * (by - qy))
+        nx, ny = -ty, tx
+        x0, x1, x2 = px + 7 * tx, px - 4 * tx + 4.5 * nx, px - 4 * tx - 4.5 * nx
+        y0, y1, y2 = py + 7 * ty, py - 4 * ty + 4.5 * ny, py - 4 * ty - 4.5 * ny
+        ox, oy = _unit(qx, qy - cy) if (qx, qy) != (0.0, cy) else (0.0, -1.0)
+        lx, ly = qx + _LABEL_OFFSET * ox, qy + _LABEL_OFFSET * oy
+        out.append((
+            ax, qx, bx, x0, x1, x2, lx,
+            f"{ay:.2f}", f"{qy:.2f}", f"{by:.2f}", f"{y0:.2f}", f"{y1:.2f}", f"{y2:.2f}", f"{ly:.2f}",
+        ))
+    return out
 
 
 def render_svg(surface: GluedSurface) -> str:
@@ -56,47 +75,20 @@ def render_svg(surface: GluedSurface) -> str:
         f'viewBox="0 0 {width:.2f} {height:.2f}">'
     ]
     cy = _MARGIN + _RADIUS
-    for k, word in enumerate(surface.faces):
+    texts = label_texts(surface.n)
+    shapes: dict[int, list] = {}  # side count -> _shape, for this call only
+    for k, cycle in enumerate(surface.face_cycles):
         cx = _MARGIN + _RADIUS + k * (2 * _RADIUS + _GAP)
-        sides = len(word)
-        points = [
-            (
-                cx + _RADIUS * math.cos(-math.pi / 2 + 2 * math.pi * v / sides),
-                cy + _RADIUS * math.sin(-math.pi / 2 + 2 * math.pi * v / sides),
-            )
-            for v in range(sides)
-        ]
-        for v, label in enumerate(word):
-            a = points[v]
-            b = points[(v + 1) % sides]
-            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-            if sides == 2:
-                # Both sides join the same endpoints; bow them apart.
-                ux, uy = _unit(b[0] - a[0], b[1] - a[1])
-                sign = 1.0 if v == 0 else -1.0
-                control = (mid[0] + sign * 0.6 * _RADIUS * -uy, mid[1] + sign * 0.6 * _RADIUS * ux)
-            else:
-                control = mid
-            color = _ALPHA_COLOR if label.curve == ALPHA else _BETA_COLOR
+        shape = shapes.get(len(cycle)) or shapes.setdefault(len(cycle), _shape(len(cycle)))
+        for j, (ax, qx, bx, x0, x1, x2, lx, ay, qy, by, y0, y1, y2, ly) in zip(cycle, shape):
+            color = _ALPHA_COLOR if j & 1 else _BETA_COLOR  # odd symbols are arcs of the first curve
+            # Labels match [ab]\d+'? (arcs.label_texts), so they need no XML escaping.
             out.append(
-                f'<path d="M {a[0]:.2f},{a[1]:.2f} Q {control[0]:.2f},{control[1]:.2f} {b[0]:.2f},{b[1]:.2f}" '
+                f'<path d="M {cx + ax:.2f},{ay} Q {cx + qx:.2f},{qy} {cx + bx:.2f},{by}" '
                 f'fill="none" stroke="{color}" stroke-width="1.5" />'
-            )
-            tip_at = _bezier_point(a, control, b, 0.58)
-            tx, ty = _unit(*_bezier_tangent(a, control, b, 0.58))
-            nx, ny = -ty, tx
-            (x0, y0), (x1, y1), (x2, y2) = (
-                (tip_at[0] + 7 * tx, tip_at[1] + 7 * ty),
-                (tip_at[0] - 4 * tx + 4.5 * nx, tip_at[1] - 4 * ty + 4.5 * ny),
-                (tip_at[0] - 4 * tx - 4.5 * nx, tip_at[1] - 4 * ty - 4.5 * ny),
-            )
-            out.append(f'<polygon points="{x0:.2f},{y0:.2f} {x1:.2f},{y1:.2f} {x2:.2f},{y2:.2f}" fill="{color}" />')
-            ox, oy = _unit(control[0] - cx, control[1] - cy) if control != (cx, cy) else (0.0, -1.0)
-            # Labels match [ab]\d+'? (ArcLabel.__str__), so they need no XML escaping.
-            out.append(
-                f'<text x="{control[0] + _LABEL_OFFSET * ox:.2f}" y="{control[1] + _LABEL_OFFSET * oy:.2f}" '
-                f'font-size="12" font-family="monospace" text-anchor="middle" dominant-baseline="middle" '
-                f'fill="#000000">{label}</text>'
+                f'<polygon points="{cx + x0:.2f},{y0} {cx + x1:.2f},{y1} {cx + x2:.2f},{y2}" fill="{color}" />'
+                f'<text x="{cx + lx:.2f}" y="{ly}" font-size="12" font-family="monospace" text-anchor="middle" '
+                f'dominant-baseline="middle" fill="#000000">{texts[j]}</text>'
             )
         if surface.puncture_assignment[k]:
             out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#000000" />')

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .arcs import ArcLabel, label_of
+from .arcs import ArcLabel, label_of, label_texts
 from .permutations import Permutation
 
 __all__ = [
@@ -201,12 +201,22 @@ class GluedSurface:
 
     n: int
     face_cycles: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[ArcLabel, ...], ...]
     edge_pairing: tuple[tuple[int, int], ...]
     vertex_classes: tuple[tuple[int, ...], ...]
     euler_characteristic: int
     genus: int
     puncture_assignment: tuple[int, ...]
+
+    @property
+    def faces(self) -> tuple[tuple[ArcLabel, ...], ...]:
+        """One boundary word per polygon, built from ``face_cycles`` on each read."""
+        return tuple(tuple(label_of(j, self.n) for j in cycle) for cycle in self.face_cycles)
+
+    def __repr__(self) -> str:
+        # Lists the derived ``faces`` among the fields: GLUE_SHA256 in tests/test_verify.py hashes this text.
+        names = ("n", "face_cycles", "faces", "edge_pairing", "vertex_classes", "euler_characteristic", "genus",
+                 "puncture_assignment")
+        return f"GluedSurface({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
 
     @property
     def vertex_count(self) -> int:
@@ -222,9 +232,10 @@ class GluedSurface:
 
     def lines(self) -> list[str]:
         """Face words, one per line; a trailing ``*`` marks a puncture."""
+        texts = label_texts(self.n)
         out = []
-        for k, (word, punctured) in enumerate(zip(self.faces, self.puncture_assignment), start=1):
-            line = f"F{k}: " + " ".join(str(lab) for lab in word)
+        for k, (cycle, punctured) in enumerate(zip(self.face_cycles, self.puncture_assignment), start=1):
+            line = f"F{k}: " + " ".join(texts[j] for j in cycle)
             if punctured:
                 line += " *"
             out.append(line)
@@ -245,7 +256,6 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
         raise ValueError("gluing needs a parity-reversing permutation satisfying the filling equation")
 
     face_cycles = _kernel.cycles(s)
-    words = tuple(tuple(label_of(k, n) for k in cycle) for cycle in face_cycles)
     classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
     if any(len(c) != 4 for c in classes):  # unreachable: on the equation c² = rev∘adv (see validate)
         raise RuntimeError("internal inconsistency: a corner orbit is not a 4-cycle")
@@ -270,7 +280,6 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
     return GluedSurface(
         n=n,
         face_cycles=face_cycles,
-        faces=words,
         edge_pairing=pairing,
         vertex_classes=classes,
         euler_characteristic=chi,

@@ -15,6 +15,7 @@ from fillperm import (
     parse_label,
     reversal_pairing,
 )
+from fillperm.arcs import label_texts
 
 ns = st.integers(1, 8)
 
@@ -26,6 +27,10 @@ class TestLabels:
     )
     def test_symbol_to_text_at_n5(self, j, text):
         assert str(label_of(j, 5)) == text
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_text_table_matches_label_of(self, n):
+        assert label_texts(n) == ("", *(str(label_of(j, n)) for j in range(1, 4 * n + 1)))
 
     def test_parse_label_round_trip(self):
         for token in ("a1", "b12", "a5'", "b3'"):

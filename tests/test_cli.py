@@ -225,6 +225,15 @@ class TestExportSvg:
         assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("command", [("verify", "--genus", "1"), ("glue",), ("export-svg", "--out", "OUT")])
+def test_negative_punctures_exits_1(capsys, tmp_path, command):
+    out_file = tmp_path / "out.svg"
+    argv = [str(out_file) if a == "OUT" else a for a in command]
+    code, out, err = run_cli(capsys, *argv, "--sigma", "(1,2,3,4)", "--punctures", "-1")
+    assert (code, out, err) == (1, "", "error: --punctures must be non-negative, got -1\n")
+    assert not out_file.exists()
+
+
 class TestEntryPoints:
     def test_console_script(self, console_scripts):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import fillperm.verify
 from fillperm import (
     FillingInstance,
     Permutation,
@@ -13,22 +14,28 @@ from fillperm import (
     available_sites,
     double_bigon,
     enumerate_solutions,
+    extend_to,
     glue,
+    label_of,
     render_svg,
 )
 from fillperm.certificates import GENUS2_BASE
 
 LADDER_SEED = 1
+MORE_LADDER_SEEDS = (2, 3, 4)
 LADDER_STEPS = 74  # S_2,3 -> S_2,151, n = 7..153
 SOLUTION_CASES = [((0, 4, 2), None), ((1, 0, 1), None), ((1, 2, 2), None), ((2, 3, 5), 300)]
 
 CORPUS_SIZE = 384
 SVG_SHA256 = "7f08fd3825c50be259954ffaf4b4f9e2e6f13e12b014088abc18d7d0a12ebf4c"
+# Recorded while every coordinate was still computed in absolute position.
+MORE_LADDERS_SIZE = 222
+MORE_LADDERS_SHA256 = "affb2d9b93f9b7fba831f0722fc88f8267327af0731a61ec3d6159f146f535f8"
 
 
-def ladder_surfaces():
+def ladder_surfaces(seed=LADDER_SEED):
     """The surfaces of the seeded double-bigon ladder from the genus-2 certificate."""
-    rng = random.Random(LADDER_SEED)
+    rng = random.Random(seed)
     current = FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3)
     out = []
     for _ in range(LADDER_STEPS):
@@ -61,6 +68,14 @@ def test_frozen_bytes(markups):
     assert (len(markups), digest.hexdigest()) == (CORPUS_SIZE, SVG_SHA256)
 
 
+def test_frozen_bytes_of_more_ladders():
+    digest = hashlib.sha256()
+    markups = [render_svg(surface) for seed in MORE_LADDER_SEEDS for surface in ladder_surfaces(seed)]
+    for markup in markups:
+        digest.update(markup.encode())
+    assert (len(markups), digest.hexdigest()) == (MORE_LADDERS_SIZE, MORE_LADDERS_SHA256)
+
+
 def test_corpus_has_bigons_and_punctured_faces(surfaces):
     assert any(len(cycle) == 2 for s in surfaces for cycle in s.face_cycles)
     punctured = [flag for s in surfaces for flag in s.puncture_assignment]
@@ -79,3 +94,22 @@ def test_one_mark_per_side_and_puncture(surfaces, markups):
         faces = surface.face_count
         assert float(root.get("width")) == 2 * 60 + 180 * faces + 70 * (faces - 1)
         assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
+
+
+def test_glue_and_render_build_no_arc_labels(monkeypatch):
+    """Both read label text from a table made once per call; ``faces`` builds labels only when read."""
+    instance = extend_to(FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3), 9)
+
+    def refuse(j, n):
+        raise AssertionError(f"label_of({j}, {n}) called")
+
+    monkeypatch.setattr(fillperm.verify, "label_of", refuse)
+    surface = glue(instance.sigma, instance.punctures)
+    assert render_svg(surface).startswith("<svg")
+    monkeypatch.undo()
+    words = [[str(label_of(j, surface.n)) for j in cycle] for cycle in surface.face_cycles]
+    assert [[str(label) for label in word] for word in surface.faces] == words
+    assert surface.lines() == [
+        f"F{k}: {' '.join(word)}" + (" *" if punctured else "")
+        for k, (word, punctured) in enumerate(zip(words, surface.puncture_assignment), start=1)
+    ]
