@@ -9,10 +9,10 @@ whose search runs out of --max-seconds is reported as BUDGET and the
 scan goes on; the exit status is then 3, as for the CLI's resource cap
 (1 if any surface contradicts the closed form).
 
-The default rectangle takes about 0.4 s on a 2-vCPU Intel Xeon virtual
+The default rectangle takes 0.35-0.5 s on a 2-vCPU Intel Xeon virtual
 machine with CPython 3.11.7, and --max-genus 3 adds the genus-3 sweeps
 in about the same time; --max-genus 3 --max-punctures 6 --cap-n 7 takes
-about 5 s there.
+4.2-5.0 s there (1.9 s when the machine ran faster).
 """
 
 import argparse

@@ -6,13 +6,11 @@ from .arcs import (
     BETA,
     ArcLabel,
     curve_advance,
-    index_of,
     label_of,
-    parse_label,
     reversal_pairing,
 )
 from .moves import SurgerySite, available_sites, double_bigon, extend_to
-from .permutations import CycleDecomposition, Permutation
+from .permutations import Permutation
 from .search import (
     SearchLimitError,
     SearchQuery,
@@ -20,7 +18,6 @@ from .search import (
     canonical_form,
     enumerate_solutions,
     naive_enumerate,
-    symmetry_group,
 )
 from .svg import render_svg
 from .tables import (
@@ -35,9 +32,6 @@ from .verify import (
     FillingInstance,
     GluedSurface,
     ValidationReport,
-    check_filling_equation,
-    corner_rotation,
-    faces_as_words,
     glue,
     validate,
     vertex_classes,
@@ -52,7 +46,6 @@ __all__ = [
     "CheckResult",
     "CrossValidation",
     "CrossValidationError",
-    "CycleDecomposition",
     "FillingInstance",
     "GluedSurface",
     "NoFillingPairError",
@@ -64,23 +57,17 @@ __all__ = [
     "ValidationReport",
     "available_sites",
     "canonical_form",
-    "check_filling_equation",
-    "corner_rotation",
     "cross_validate",
     "curve_advance",
     "double_bigon",
     "enumerate_solutions",
     "extend_to",
-    "faces_as_words",
     "glue",
-    "index_of",
     "label_of",
     "min_intersection",
     "naive_enumerate",
-    "parse_label",
     "render_svg",
     "reversal_pairing",
-    "symmetry_group",
     "validate",
     "vertex_classes",
 ]

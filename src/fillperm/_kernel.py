@@ -38,21 +38,21 @@ def equation_offender(s: Sequence[int], rev: Sequence[int], adv: Sequence[int]) 
     return next(j for j in range(1, len(s)) if s[rev[s[j]]] != adv[j])
 
 
-def faces(s: Sequence[int]) -> tuple[list[int], int, int]:
-    """Face id of every symbol (ids in order of smallest symbol), face count, bigon count."""
-    face_of = [-1] * len(s)
+def faces(s: Sequence[int]) -> tuple[int, int]:
+    """Face count and bigon count: the cycles of ``s``, and those of length two."""
+    seen = [False] * len(s)
     count = bigons = 0
     for j in range(1, len(s)):
-        if face_of[j] >= 0:
+        if seen[j]:
             continue
         k, length = j, 0
-        while face_of[k] < 0:
-            face_of[k] = count
+        while not seen[k]:
+            seen[k] = True
             k = s[k]
             length += 1
         count += 1
         bigons += length == 2
-    return face_of, count, bigons
+    return count, bigons
 
 
 def cycles(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -76,19 +76,20 @@ def corner_rotation(s: Sequence[int], rev: Sequence[int]) -> list[int]:
     return [rev[k] for k in s]
 
 
-def components(face_of: Sequence[int], count: int) -> int:
-    """Components of the face graph whose edges glue side j to its reversal j + 2n."""
-    half = len(face_of) // 2
-    parent = list(range(count))
-    for a, b in zip(face_of[1 : half + 1], face_of[half + 1 :]):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
+def components(s: Sequence[int], rev: Sequence[int]) -> int:
+    """Orbits of ⟨s, rev⟩ on the symbols: the components of the face graph, each side glued to its reversal."""
+    parent = list(range(len(s)))
+    count = len(s)
+    for p in (s, rev):
+        for a, b in enumerate(p):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                count -= 1
+    return count - 1  # the padding 0 is an orbit of its own
 
 
 @lru_cache(maxsize=256)

@@ -10,7 +10,6 @@ reversed copy, as in ``a5'``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import _kernel
@@ -21,17 +20,13 @@ __all__ = [
     "BETA",
     "ArcLabel",
     "curve_advance",
-    "index_of",
     "label_of",
     "label_texts",
-    "parse_label",
     "reversal_pairing",
 ]
 
 ALPHA = "alpha"
 BETA = "beta"
-
-_LABEL = re.compile(r"([ab])(\d+)(')?\Z")
 
 
 def _check_n(n: int) -> None:
@@ -53,21 +48,9 @@ class ArcLabel:
         if self.index < 1:
             raise ValueError("arc index starts at 1")
 
-    def flipped(self) -> ArcLabel:
-        return ArcLabel(self.curve, self.index, not self.inverted)
-
     def __str__(self) -> str:
         mark = "'" if self.inverted else ""
         return f"{self.curve[0]}{self.index}{mark}"
-
-
-def parse_label(token: str) -> ArcLabel:
-    """Inverse of ``str(label)``: accepts ``a3``, ``b12``, ``a5'``."""
-    m = _LABEL.match(token)
-    if m is None:
-        raise ValueError(f"bad arc label {token!r}")
-    curve = ALPHA if m.group(1) == "a" else BETA
-    return ArcLabel(curve, int(m.group(2)), m.group(3) is not None)
 
 
 def label_of(j: int, n: int) -> ArcLabel:
@@ -93,15 +76,6 @@ def label_texts(n: int) -> tuple[str, ...]:
     _check_n(n)
     forward = [f"{curve}{i}" for i in range(1, n + 1) for curve in "ab"]
     return ("", *forward, *(text + "'" for text in forward))
-
-
-def index_of(label: ArcLabel, n: int) -> int:
-    """Symbol of ``label``; inverse of :func:`label_of`."""
-    _check_n(n)
-    if label.index > n:
-        raise ValueError(f"arc index {label.index} exceeds n = {n}")
-    base = 2 * label.index - 1 if label.curve == ALPHA else 2 * label.index
-    return base + 2 * n if label.inverted else base
 
 
 def reversal_pairing(n: int) -> Permutation:

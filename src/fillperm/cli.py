@@ -101,6 +101,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_extend(args: argparse.Namespace) -> int:
     sigma = _load_sigma(args)
+    if args.target_p < 0:
+        raise ValueError(f"--target-p must be non-negative, got {args.target_p}")
     instance = FillingInstance(sigma, args.genus, args.punctures)
     try:
         extended = extend_to(instance, args.target_p)
@@ -119,6 +121,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if not all(grid_flags):
             print("error: grid mode needs both --max-genus and --max-punctures", file=sys.stderr)
             return EXIT_USAGE
+        if args.max_genus < 0 or args.max_punctures < 0:
+            raise ValueError("--max-genus and --max-punctures must be non-negative")
         print("g\\p " + " ".join(str(p) for p in range(args.max_punctures + 1)))
         for g in range(args.max_genus + 1):
             cells = []

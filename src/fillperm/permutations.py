@@ -10,59 +10,13 @@ kept as explicit 1-cycles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _kernel
 
-__all__ = ["CycleDecomposition", "Permutation"]
+__all__ = ["Permutation"]
 
 _CYCLE = re.compile(r"\((\d+(?:,\d+)*)\)")
-
-
-def _cycle_notation(cycles: Iterable[Sequence[int]]) -> str:
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-
-
-def _rotate_min_first(cycle: Sequence[int]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:]) + tuple(cycle[:k])
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles covering {1, ..., degree}, held in canonical form.
-
-    Cycles may be given in any rotation and order, and fixed points may
-    be omitted; normalization happens on construction.
-    """
-
-    degree: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
-        seen: set[int] = set()
-        for cycle in self.cycles:
-            if not cycle:
-                raise ValueError("empty cycle")
-            for s in cycle:
-                if not 1 <= s <= self.degree:
-                    raise ValueError(f"symbol {s} outside 1..{self.degree}")
-                if s in seen:
-                    raise ValueError(f"symbol {s} appears in more than one cycle")
-                seen.add(s)
-        full = [tuple(c) for c in self.cycles]
-        full.extend((s,) for s in range(1, self.degree + 1) if s not in seen)
-        canonical = sorted((_rotate_min_first(c) for c in full), key=lambda c: c[0])
-        object.__setattr__(self, "cycles", tuple(canonical))
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
-
-    def __str__(self) -> str:
-        return _cycle_notation(self.cycles)
 
 
 class Permutation:
@@ -140,17 +94,6 @@ class Permutation:
             out[by(j) - 1] = by(k)
         return Permutation(out)
 
-    def to_cycles(self) -> CycleDecomposition:
-        return CycleDecomposition(self.degree, _kernel.cycles((0, *self._images)))
-
-    @classmethod
-    def from_cycles(cls, decomposition: CycleDecomposition) -> Permutation:
-        imgs = list(range(1, decomposition.degree + 1))
-        for cycle in decomposition.cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                imgs[a - 1] = b
-        return cls(imgs)
-
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> Permutation:
         """Parse cycle notation, ignoring whitespace.
@@ -166,33 +109,30 @@ class Permutation:
         if not compact:
             raise ValueError("empty cycle notation")
         pos = 0
-        cycles: list[tuple[int, ...]] = []
+        cycles: list[list[int]] = []
         while pos < len(compact):
             m = _CYCLE.match(compact, pos)
             if m is None:
                 raise ValueError(f"malformed cycle notation at {compact[pos:]!r}")
-            cycles.append(tuple(int(t) for t in m.group(1).split(",")))
+            cycles.append([int(t) for t in m.group(1).split(",")])
             pos = m.end()
         if degree is None:
             top = max(max(c) for c in cycles)
             degree = ((top + 3) // 4) * 4
-        return cls.from_cycles(CycleDecomposition(degree, tuple(cycles)))
-
-    def is_parity_reversing(self) -> bool:
-        """True when every symbol maps to the opposite parity.
-
-        Only defined for even degrees.  Forces every cycle length to be
-        even, since a cycle alternates parities along its way.
-        """
-        if self.degree % 2:
-            raise ValueError("parity reversal is only defined for even degrees")
-        return _kernel.parity_offender((0, *self._images)) is None
-
-    def cycle_count(self) -> int:
-        return _kernel.faces((0, *self._images))[1]
-
-    def two_cycle_count(self) -> int:
-        return _kernel.faces((0, *self._images))[2]
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
+        images = list(range(1, degree + 1))
+        seen = [False] * (degree + 1)
+        for cycle in cycles:
+            for s in cycle:
+                if not 1 <= s <= degree:
+                    raise ValueError(f"symbol {s} outside 1..{degree}")
+                if seen[s]:
+                    raise ValueError(f"symbol {s} appears in more than one cycle")
+                seen[s] = True
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b
+        return cls(images)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -207,4 +147,4 @@ class Permutation:
 
     def __str__(self) -> str:
         # The kernel's cycles are already canonical: smallest symbol first, sorted, fixed points kept.
-        return _cycle_notation(_kernel.cycles((0, *self._images)))
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in _kernel.cycles((0, *self._images)))

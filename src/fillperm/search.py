@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _kernel
 from .permutations import Permutation
@@ -32,7 +31,6 @@ __all__ = [
     "canonical_form",
     "enumerate_solutions",
     "naive_enumerate",
-    "symmetry_group",
 ]
 
 
@@ -66,6 +64,8 @@ class SearchQuery:
             raise ValueError("n must be at least 1")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
+        if not (self.max_nodes >= 0 and self.max_seconds >= 0):  # also rejects a NaN budget, which never runs out
+            raise ValueError("max_nodes and max_seconds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -74,41 +74,6 @@ class SearchResult:
     raw_count: int
     nodes_explored: int
     wall_time: float
-
-
-def symmetry_group(n: int) -> list[Permutation]:
-    """Basepoint-shift generators, one per curve.
-
-    Each generator advances every arc label of one curve by one position,
-    both orientations at once.  Conjugation by the group they generate
-    (order n*n) maps filling permutations to filling permutations.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    m = 4 * n
-    alpha = list(range(1, m + 1))
-    beta = list(range(1, m + 1))
-    for i in range(1, n + 1):
-        nxt = i % n + 1
-        alpha[2 * i - 2] = 2 * nxt - 1
-        alpha[2 * n + 2 * i - 2] = 2 * n + 2 * nxt - 1
-        beta[2 * i - 1] = 2 * nxt
-        beta[2 * n + 2 * i - 1] = 2 * n + 2 * nxt
-    return [Permutation(alpha), Permutation(beta)]
-
-
-@lru_cache(maxsize=8)
-def _symmetry_elements(n: int) -> tuple[Permutation, ...]:
-    gen_a, gen_b = symmetry_group(n)
-    elements = []
-    pa = Permutation.identity(4 * n)
-    for _ in range(n):
-        pb = pa
-        for _ in range(n):
-            elements.append(pb)
-            pb = gen_b.compose(pb)
-        pa = gen_a.compose(pa)
-    return tuple(elements)
 
 
 def canonical_form(sigma: Permutation) -> Permutation:

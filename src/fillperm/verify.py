@@ -22,9 +22,6 @@ __all__ = [
     "FillingInstance",
     "GluedSurface",
     "ValidationReport",
-    "check_filling_equation",
-    "corner_rotation",
-    "faces_as_words",
     "glue",
     "validate",
     "vertex_classes",
@@ -128,22 +125,6 @@ def _kernel_view(sigma: Permutation) -> tuple[tuple[int, ...], tuple[int, ...], 
     return (0, *sigma.images), *_kernel.structure_maps(sigma.degree // 4)
 
 
-def check_filling_equation(sigma: Permutation) -> bool:
-    """Whether side, reversal, side again advances each arc along its curve."""
-    return _kernel.equation_offender(*_kernel_view(sigma)) is None
-
-
-def corner_rotation(sigma: Permutation) -> Permutation:
-    """Map each polygon corner to the next corner around the same point.
-
-    The corner after side j goes to the corner after the reversal of the
-    side following j.  Orbits are the vertex classes of the glued
-    surface; for a genuine filling permutation every orbit is a 4-cycle.
-    """
-    s, rev, _ = _kernel_view(sigma)
-    return Permutation(_kernel.corner_rotation(s, rev)[1:])
-
-
 def vertex_classes(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     """Orbits of the corner rotation, each starting at its smallest member."""
     s, rev, _ = _kernel_view(sigma)
@@ -166,10 +147,11 @@ def validate(instance: FillingInstance) -> ValidationReport:
     odd and the even symbols, and a parity-reversing s joins them.
     """
     n, genus, punctures = instance.n, instance.genus, instance.punctures
-    s, rev, adv = _kernel_view(instance.sigma)
+    s = (0, *instance.sigma.images)  # FillingInstance has checked that the degree is 4n
+    rev, adv = _kernel.structure_maps(n)
     parity = _kernel.parity_offender(s)
     equation = _kernel.equation_offender(s, rev, adv)
-    face_of, faces, bigons = _kernel.faces(s)
+    faces, bigons = _kernel.faces(s)
     if parity is None and equation is None:
         return _report_on_the_equation(n, genus, punctures, faces, bigons)
     classes = () if equation is None else _kernel.cycles(_kernel.corner_rotation(s, rev))
@@ -178,7 +160,7 @@ def validate(instance: FillingInstance) -> ValidationReport:
         n, genus, punctures,
         None if parity is None else (parity, s[parity]),
         None if equation is None else (equation, s[rev[s[equation]]], adv[equation]),
-        faces, bigons, bad_orbit, (len(classes) or n) - 2 * n + faces, _kernel.components(face_of, faces),
+        faces, bigons, bad_orbit, (len(classes) or n) - 2 * n + faces, _kernel.components(s, rev),
     )
 
 
@@ -186,13 +168,6 @@ def validate(instance: FillingInstance) -> ValidationReport:
 def _report_on_the_equation(n: int, genus: int, punctures: int, faces: int, bigons: int) -> ValidationReport:
     """The report of a parity-reversing permutation on the filling equation: n classes, one component."""
     return ValidationReport(n, genus, punctures, None, None, faces, bigons, None, faces - n, 1)
-
-
-def faces_as_words(sigma: Permutation) -> tuple[tuple[ArcLabel, ...], ...]:
-    """One boundary word per polygon, faces in canonical cycle order."""
-    s, _, _ = _kernel_view(sigma)
-    n = sigma.degree // 4
-    return tuple(tuple(label_of(k, n) for k in cycle) for cycle in _kernel.cycles(s))
 
 
 @dataclass(frozen=True)

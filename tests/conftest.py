@@ -1,14 +1,16 @@
-"""Shared fixtures: the known-good certificates, small search spaces and the
-environment the command line tests run `fillperm` in."""
+"""Shared fixtures: the known-good certificates, small search spaces, the
+reference helpers the tests check the package against, and the environment
+the command line tests run `fillperm` in."""
 
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import fillperm
-from fillperm import FillingInstance, Permutation
+from fillperm import FillingInstance, Permutation, _kernel
 from fillperm.certificates import GENUS2_BASE, SPHERE_FOUR_BASE, TORUS_BASE
 
 
@@ -44,6 +46,52 @@ def small_parameter_grid() -> list[tuple[int, int, int]]:
             for punctures in range(0, max(faces, 0) + 2):
                 grid.append((genus, punctures, n))
     return grid
+
+
+def cycles_of(p: Permutation) -> list[tuple[int, ...]]:
+    """The cycles ``str(p)`` writes, in its order."""
+    return [tuple(map(int, c.split(","))) for c in str(p)[1:-1].split(")(")]
+
+
+def corner_rotation(sigma: Permutation) -> Permutation:
+    """Reversal after ``sigma``: the next corner around the same vertex; its orbits are the vertex classes."""
+    rev, _ = _kernel.structure_maps(sigma.degree // 4)
+    return Permutation(rev[k] for k in sigma.images)
+
+
+def symmetry_group(n: int) -> list[Permutation]:
+    """Basepoint-shift generators, one per curve.
+
+    Each generator advances every arc label of one curve by one position,
+    both orientations at once.  Conjugation by the group they generate
+    (order n*n) maps filling permutations to filling permutations.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    m = 4 * n
+    alpha = list(range(1, m + 1))
+    beta = list(range(1, m + 1))
+    for i in range(1, n + 1):
+        nxt = i % n + 1
+        alpha[2 * i - 2] = 2 * nxt - 1
+        alpha[2 * n + 2 * i - 2] = 2 * n + 2 * nxt - 1
+        beta[2 * i - 1] = 2 * nxt
+        beta[2 * n + 2 * i - 1] = 2 * n + 2 * nxt
+    return [Permutation(alpha), Permutation(beta)]
+
+
+@lru_cache(maxsize=8)
+def _symmetry_elements(n: int) -> tuple[Permutation, ...]:
+    gen_a, gen_b = symmetry_group(n)
+    elements = []
+    pa = Permutation.identity(4 * n)
+    for _ in range(n):
+        pb = pa
+        for _ in range(n):
+            elements.append(pb)
+            pb = gen_b.compose(pb)
+        pa = gen_a.compose(pa)
+    return tuple(elements)
 
 
 @pytest.fixture

@@ -18,17 +18,13 @@ from fillperm import (
     double_bigon,
     enumerate_solutions,
     extend_to,
-    faces_as_words,
     glue,
     min_intersection,
     naive_enumerate,
     validate,
     vertex_classes,
 )
-from fillperm.search import _symmetry_elements
-from fillperm.verify import corner_rotation
-
-from conftest import small_parameter_grid
+from conftest import _symmetry_elements, corner_rotation, cycles_of, small_parameter_grid
 
 
 @contextmanager
@@ -69,7 +65,7 @@ def _timed(fn) -> float:
 
 def test_face_words_up_to_rotation(genus2_sigma):
     with summary("face-words"):
-        got = [tuple(str(lab) for lab in w) for w in faces_as_words(genus2_sigma)]
+        got = [tuple(str(lab) for lab in w) for w in glue(genus2_sigma, 3).faces]
         wanted = [
             ("a1", "b1", "a5'", "b2'"),
             ("a2", "b4", "a3'", "b3'", "a5", "b2", "a4'", "b4'", "a3", "b5", "a1'", "b1'"),
@@ -124,7 +120,7 @@ def test_sphere_parity_wall(sphere4_sigma):
         hits = enumerate_solutions(SearchQuery(0, 4, 2))
         assert hits.raw_count > 0
         assert sphere4_sigma in hits.solutions
-        assert sphere4_sigma.two_cycle_count() == 4  # all four faces are bigons
+        assert validate(FillingInstance(sphere4_sigma, 0, 4)).bigons == 4  # all four faces are bigons
 
 
 def test_torus_base_case(torus_sigma):
@@ -191,9 +187,9 @@ def test_structural_properties_of_every_found_solution(genus2_p3_n5_solutions):
                 assert r2.compose(r2) == Permutation.identity(sigma.degree)
                 assert all(len(c) == 4 for c in vertex_classes(sigma))
                 # faces reassemble the permutation exactly
-                assert Permutation.from_cycles(sigma.to_cycles()) == sigma
+                assert Permutation.parse(str(sigma), degree=sigma.degree) == sigma
                 surf = glue(sigma, punctures)
-                assert surf.face_cycles == sigma.to_cycles().cycles
+                assert surf.face_cycles == tuple(cycles_of(sigma))
                 # parity reversal forces even cycle lengths
-                assert sigma.is_parity_reversing()
-                assert all(len(c) % 2 == 0 for c in sigma.to_cycles().cycles)
+                assert validate(FillingInstance(sigma, genus, punctures)).parity_offender is None
+                assert all(len(c) % 2 == 0 for c in surf.face_cycles)

@@ -234,6 +234,20 @@ def test_negative_punctures_exits_1(capsys, tmp_path, command):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("extend", "--sigma", "(1,2,3,4)", "--genus", "1", "--punctures", "0", "--target-p", "-2"),
+    ("table", "--max-genus", "-1", "--max-punctures", "3"),
+    ("table", "--max-genus", "2", "--max-punctures", "-2"),
+    ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-nodes", "-5"),
+    ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-seconds", "-1"),
+    ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-seconds", "nan"),
+], ids=["target-p", "max-genus", "max-punctures", "max-nodes", "max-seconds", "nan-seconds"])
+def test_negative_count_or_budget_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "non-negative" in err
+
+
 class TestEntryPoints:
     def test_console_script(self, console_scripts):
         proc = subprocess.run(

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fillperm import CycleDecomposition, Permutation
+from fillperm import Permutation, _kernel
+
+from conftest import cycles_of
 
 
 @st.composite
@@ -56,10 +58,16 @@ class TestCycleNotation:
     def test_str_is_canonical(self):
         assert str(Permutation.parse("(14,1,2,19)", degree=20)).startswith("(1,2,19,14)")
         assert str(Permutation((2, 1, 3, 4))) == "(1,2)(3)(4)"
+        assert str(Permutation.parse("(5,6)(3,1,2)", degree=6)) == "(1,2,3)(4)(5,6)"
 
     @given(permutations(max_degree=40))
     def test_str_matches_the_cycle_decomposition(self, p):
-        assert str(p) == str(p.to_cycles())
+        # From the text alone: each cycle follows p from its smallest symbol, sorted, fixed points written.
+        cycles = cycles_of(p)
+        assert all(p(a) == b for c in cycles for a, b in zip(c, c[1:] + c[:1]))
+        assert all(c[0] == min(c) for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+        assert sorted(s for c in cycles for s in c) == list(range(1, p.degree + 1))
 
     @pytest.mark.parametrize("text", ["", "(1,2", "nope", "(1,2)x(3,4)", "(1,1)"])
     def test_parse_rejects_garbage(self, text):
@@ -69,18 +77,6 @@ class TestCycleNotation:
     def test_overlapping_cycles_rejected(self):
         with pytest.raises(ValueError):
             Permutation.parse("(1,2)(2,3)")
-
-
-class TestCycleDecomposition:
-    def test_normalizes_rotation_and_order(self):
-        d = CycleDecomposition(6, ((5, 6), (3, 1, 2)))
-        assert d.cycles == ((1, 2, 3), (4,), (5, 6))
-        assert d.lengths() == (3, 1, 2)
-        assert str(d) == "(1,2,3)(4)(5,6)"
-
-    def test_round_trip_through_permutation(self):
-        d = CycleDecomposition(8, ((1, 3, 5), (2, 4)))
-        assert Permutation.from_cycles(d).to_cycles() == d
 
 
 class TestAlgebra:
@@ -100,16 +96,13 @@ class TestAlgebra:
         assert str(p.conjugate(by)) == "(1)(2,3,4)"
 
     def test_parity_reversal(self):
-        assert Permutation.parse("(1,2,3,4)").is_parity_reversing()
-        assert not Permutation.parse("(1,3)(2,4)").is_parity_reversing()
-        with pytest.raises(ValueError):
-            Permutation.identity(3).is_parity_reversing()
+        assert _kernel.parity_offender((0, *Permutation.parse("(1,2,3,4)").images)) is None
+        assert _kernel.parity_offender((0, *Permutation.parse("(1,3)(2,4)").images)) == 1
 
     def test_cycle_and_two_cycle_counts(self):
         p = Permutation.parse("(1,4,5,2,7,12,9,8)(3,10)(6,11)")
-        assert p.cycle_count() == 3
-        assert p.two_cycle_count() == 2
-        assert Permutation.identity(4).two_cycle_count() == 0
+        assert _kernel.faces((0, *p.images)) == (3, 2)
+        assert _kernel.faces((0, *Permutation.identity(4).images)) == (4, 0)
 
 
 @given(permutations())
@@ -134,10 +127,10 @@ def test_composition_is_associative(triple):
 @given(permutations(min_degree=2))
 def test_conjugation_preserves_cycle_type(p):
     by = Permutation(tuple(range(2, p.degree + 1)) + (1,))
-    assert sorted(p.conjugate(by).to_cycles().lengths()) == sorted(p.to_cycles().lengths())
+    assert sorted(map(len, cycles_of(p.conjugate(by)))) == sorted(map(len, cycles_of(p)))
 
 
 @given(permutations())
 def test_cycle_count_matches_decomposition(p):
-    assert p.cycle_count() == len(p.to_cycles().cycles)
-    assert p.two_cycle_count() == sum(1 for c in p.to_cycles().cycles if len(c) == 2)
+    cycles = cycles_of(p)
+    assert _kernel.faces((0, *p.images)) == (len(cycles), sum(len(c) == 2 for c in cycles))

@@ -9,19 +9,17 @@ import random
 import pytest
 
 from fillperm import (
-    CycleDecomposition,
     FillingInstance,
     Permutation,
     SearchQuery,
-    check_filling_equation,
-    corner_rotation,
     enumerate_solutions,
-    faces_as_words,
     glue,
     validate,
     vertex_classes,
 )
 from fillperm import _kernel
+
+from conftest import corner_rotation
 
 CHECK_NAMES = [
     "degree-divisible-by-4",
@@ -55,7 +53,7 @@ class TestGenus2Certificate:
         assert lines[-1] == "result: VALID"
 
     def test_face_words(self, genus2_sigma):
-        words = [" ".join(str(lab) for lab in w) for w in faces_as_words(genus2_sigma)]
+        words = [" ".join(str(lab) for lab in w) for w in glue(genus2_sigma, 3).faces]
         assert words == [
             "a1 b1 a5' b2'",
             "a2 b4 a3' b3' a5 b2 a4' b4' a3 b5 a1' b1'",
@@ -105,7 +103,7 @@ class TestGluedSurface:
 
     def test_faces_reassemble_the_permutation(self, genus2_sigma):
         surf = glue(genus2_sigma, punctures=3)
-        rebuilt = Permutation.from_cycles(CycleDecomposition(20, surf.face_cycles))
+        rebuilt = Permutation.parse("".join(f"({','.join(map(str, c))})" for c in surf.face_cycles), degree=20)
         assert rebuilt == genus2_sigma
 
     def test_torus_square(self, torus_sigma):
@@ -139,10 +137,8 @@ class TestIndividualFailures:
         assert "parity-reversing" in failing_names(report)
 
     def test_equation_failure_with_good_parity(self):
-        sigma = Permutation.parse("(1,2)(3,4)")
-        assert sigma.is_parity_reversing()
-        assert not check_filling_equation(sigma)
-        report = validate(FillingInstance(sigma, 1, 0))
+        report = validate(FillingInstance(Permutation.parse("(1,2)(3,4)"), 1, 0))
+        assert report.parity_offender is None and report.equation_offender is not None
         assert "filling-equation" in failing_names(report)
         assert "parity-reversing" not in failing_names(report)
 
@@ -210,7 +206,7 @@ class TestIndividualFailures:
             assert report.euler_characteristic == report.faces - 2
             reversing = _kernel.parity_offender(s) is None
             assert (report.parity_offender is None) == reversing
-            assert report.components == _kernel.components(*_kernel.faces(s)[:2]) == (1 if reversing else 2)
+            assert report.components == _kernel.components(s, rev) == (1 if reversing else 2)
             seen[reversing] += 1
         assert seen == {True: 8, False: 4}
 
@@ -228,11 +224,12 @@ class TestIndividualFailures:
         report = validate(FillingInstance(Permutation((1, 2, 4, 3)), 0, 0))
         assert report.equation_offender is not None and report.bad_orbit is None
         assert report.euler_characteristic == 1 - 2 + report.faces
+        rev, adv = _kernel.structure_maps(2)
         seen = 0
         for images in itertools.permutations(range(1, 9)):
             sigma = Permutation(images)
             classes = vertex_classes(sigma)
-            if any(len(c) != 4 for c in classes) or check_filling_equation(sigma):
+            if any(len(c) != 4 for c in classes) or _kernel.equation_offender((0, *images), rev, adv) is None:
                 continue
             report = validate(FillingInstance(sigma, 0, 0))
             assert report.bad_orbit is None
@@ -266,9 +263,9 @@ class TestDerivedChecks:
         for n, sigmas in filling_permutations.items():
             for sigma in sigmas:
                 classes = vertex_classes(sigma)
-                face_of, faces, _ = _kernel.faces((0, *sigma.images))
+                faces, _ = _kernel.faces((0, *sigma.images))
                 assert len(classes) == n and all(len(c) == 4 for c in classes)
-                assert _kernel.components(face_of, faces) == 1
+                assert _kernel.components((0, *sigma.images), _kernel.structure_maps(n)[0]) == 1
                 report = validate(FillingInstance(sigma, 0, 0))
                 assert (report.bad_orbit, report.components) == (None, 1)
                 assert report.euler_characteristic == len(classes) - 2 * n + faces
@@ -277,7 +274,7 @@ class TestDerivedChecks:
         # Neither "internal inconsistency" RuntimeError in glue is reachable.
         for sigmas in filling_permutations.values():
             for sigma in sigmas:
-                faces = _kernel.faces((0, *sigma.images))[1]
+                faces = _kernel.faces((0, *sigma.images))[0]
                 surf = glue(sigma, faces)
                 assert surf.euler_characteristic % 2 == 0
 
@@ -358,7 +355,9 @@ class TestFrozenOutputs:
 
     def test_gluing_and_corner_structure(self, corpus):
         def describe(sigma: Permutation, punctures: int) -> str:
-            head = f"{vertex_classes(sigma)} {corner_rotation(sigma).images} {check_filling_equation(sigma)}"
+            rev, adv = _kernel.structure_maps(sigma.degree // 4)
+            on_equation = _kernel.equation_offender((0, *sigma.images), rev, adv) is None
+            head = f"{vertex_classes(sigma)} {corner_rotation(sigma).images} {on_equation}"
             try:
                 surf = glue(sigma, punctures)
             except ValueError as exc:
