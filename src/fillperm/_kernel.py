@@ -78,18 +78,56 @@ def corner_rotation(s: Sequence[int], rev: Sequence[int]) -> list[int]:
 
 def components(s: Sequence[int], rev: Sequence[int]) -> int:
     """Orbits of ⟨s, rev⟩ on the symbols: the components of the face graph, each side glued to its reversal."""
-    parent = list(range(len(s)))
-    count = len(s)
-    for p in (s, rev):
-        for a, b in enumerate(p):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                count -= 1
-    return count - 1  # the padding 0 is an orbit of its own
+    seen = [False] * len(s)
+    count = 0
+    for j in range(1, len(s)):
+        if not seen[j]:
+            count += 1
+            seen[j], stack = True, [j]
+            while stack:
+                k = stack.pop()
+                for t in (s[k], rev[k]):
+                    if not seen[t]:
+                        seen[t] = True
+                        stack.append(t)
+    return count
+
+
+def crossings(s: Sequence[int], n: int) -> tuple[list[int], list[bool]]:
+    """Crossing sequence of ``s``: w[k] is crossing k's position along the second curve, eps[k] its handedness.
+
+    Crossing k ends first-curve arc k+1, so its incoming side 2k+1 turns into
+    the reversed incoming second-curve side 2w[k]+2+2n when right-handed
+    (eps[k] true), and into the outgoing one 2((w[k]+1) mod n)+2 otherwise.
+    """
+    half = 2 * n
+    w, eps = [], []
+    for a_in in range(1, half, 2):
+        b = s[a_in]
+        w.append((b - half - 2) // 2 if b > half else (b - 4) // 2 % n)
+        eps.append(b > half)
+    return w, eps
+
+
+def from_crossings(w: Sequence[int], eps: Sequence[bool]) -> list[int]:
+    """Padded images of the crossing sequence ``(w, eps)``, inverse to ``crossings``.
+
+    >>> from_crossings([0], [False])  # the square torus (1,2,3,4)
+    [0, 2, 3, 4, 1]
+    >>> crossings(from_crossings([1, 0], [True, False]), 2)
+    ([1, 0], [True, False])
+    """
+    n = len(w)
+    half = 2 * n
+    s = [0] * (2 * half + 1)
+    for k, (c, right) in enumerate(zip(w, eps)):
+        a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
+        b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
+        if right:
+            s[b_in], s[a_out + half], s[b_out + half], s[a_in] = a_out, b_out, a_in + half, b_in + half
+        else:
+            s[b_in], s[a_in], s[b_out + half], s[a_out + half] = a_in + half, b_out, a_out, b_in + half
+    return s
 
 
 @lru_cache(maxsize=256)

@@ -1,4 +1,7 @@
-"""Double-bigon surgery: worked small cases, then validity across a sweep."""
+"""Double-bigon surgery: worked small cases, the crossing-sequence converters, then a pinned sweep."""
+
+import hashlib
+import itertools
 
 import pytest
 
@@ -13,6 +16,7 @@ from fillperm import (
     extend_to,
     validate,
 )
+from fillperm._kernel import crossings, from_crossings
 
 from conftest import cycles_of
 
@@ -36,7 +40,7 @@ class TestTorusStep:
 
 class TestSphereSites:
     """The two vertices of the four-bigon sphere pair have opposite
-    crossing handedness, so both splice variants get exercised."""
+    crossing handedness, so both get spliced."""
 
     def test_both_sites_give_valid_six_puncture_pairs(self, sphere4_sigma):
         inst = FillingInstance(sphere4_sigma, 0, 4)
@@ -99,20 +103,46 @@ class TestRejections:
             double_bigon(FillingInstance(Permutation.identity(4), 1, 0), SurgerySite(1))
 
     def test_unknown_site(self, torus_sigma):
-        with pytest.raises(ValueError, match="no vertex class"):
-            double_bigon(FillingInstance(torus_sigma, 1, 0), SurgerySite(2))
+        # The torus has one vertex class, labeled 1; labels off both ends of 1..4n must not wrap around.
+        for label in (0, -1, 2, 3, 4, 5):
+            with pytest.raises(ValueError, match="no vertex class"):
+                double_bigon(FillingInstance(torus_sigma, 1, 0), SurgerySite(label))
 
     def test_extend_requires_valid_instance(self):
         with pytest.raises(ValueError):
             extend_to(FillingInstance(Permutation.identity(4), 1, 0), 2)
 
 
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 8), (3, 48), (4, 384), (5, 3840)])
+def test_crossing_sequences_are_exactly_the_solutions(n, count):
+    """Every (w, eps) round-trips, and the images are the union of the search's cells with n crossings."""
+    images = set()
+    for w in itertools.permutations(range(n)):
+        for eps in itertools.product((False, True), repeat=n):
+            s = from_crossings(w, eps)
+            assert crossings(s, n) == (list(w), list(eps))
+            images.add(tuple(s[1:]))
+    found = set()
+    for genus in range(n // 2 + 2):
+        found.update(p.images for p in enumerate_solutions(SearchQuery(genus, n + 2 - 2 * genus, n)).solutions)
+    assert len(images) == count  # n! * 2**n pairs, so the converter is injective
+    assert images == found
+
+
+# SHA-256 over str(out.sigma) + newline for every (solution, site) pair below, in search and site order.
+SWEEP_SHA256 = "d448f881de1c859fca50c2c4f945f8aa8dfe3ae7c18b037a3c5ca8f8e226742d"
+
+
 def test_surgery_valid_at_every_site_of_every_small_solution():
-    # Sweeps both handedness branches over everything the search finds.
-    for genus, punctures, n in [(1, 0, 1), (0, 4, 2), (1, 1, 2), (1, 2, 2), (1, 0, 3)]:
+    # Both handednesses at every site of everything the search finds; pins every output's bytes.
+    digest, count = hashlib.sha256(), 0
+    for genus, punctures, n in [(1, 0, 1), (0, 4, 2), (1, 1, 2), (1, 2, 2), (1, 0, 3), (0, 6, 4), (1, 2, 4), (2, 3, 5)]:
         for sigma in enumerate_solutions(SearchQuery(genus, punctures, n)).solutions:
             inst = FillingInstance(sigma, genus, punctures)
             for site in available_sites(inst):
                 out = double_bigon(inst, site)
                 assert (out.genus, out.punctures, out.n) == (genus, punctures + 2, n + 2)
                 assert validate(out).valid
+                digest.update(f"{out.sigma}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (12330, SWEEP_SHA256)
