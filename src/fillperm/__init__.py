@@ -1,14 +1,7 @@
 """Filling permutations: verify, glue, extend and search combinatorial
 certificates for minimally intersecting curve pairs on punctured surfaces."""
 
-from .arcs import (
-    ALPHA,
-    BETA,
-    ArcLabel,
-    curve_advance,
-    label_of,
-    reversal_pairing,
-)
+from .arcs import curve_advance, reversal_pairing
 from .moves import SurgerySite, available_sites, double_bigon, extend_to
 from .permutations import Permutation
 from .search import (
@@ -40,9 +33,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA",
-    "BETA",
-    "ArcLabel",
     "CheckResult",
     "CrossValidation",
     "CrossValidationError",
@@ -63,7 +53,6 @@ __all__ = [
     "enumerate_solutions",
     "extend_to",
     "glue",
-    "label_of",
     "min_intersection",
     "naive_enumerate",
     "render_svg",

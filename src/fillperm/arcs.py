@@ -1,32 +1,19 @@
-"""Labeled oriented arcs of a two-curve filling system.
+"""Directed arcs of a two-curve filling system and their text names.
 
 A pair of closed curves crossing n times cuts each curve into n arcs.
 Every arc carries both orientations, giving 4n directed arcs numbered
-1..4n: symbol 2i-1 is the i-th arc of the first curve ("alpha"), symbol
-2i the i-th arc of the second ("beta"), and adding 2n reverses the
-orientation.  Text form is ``a3``, ``b2``; an apostrophe marks the
-reversed copy, as in ``a5'``.
+1..4n: symbol 2i-1 is the i-th arc of the first curve, symbol 2i the
+i-th arc of the second, and adding 2n reverses the orientation.
+``label_texts`` names them ``a3``, ``b2`` and so on, with an apostrophe
+marking the reversed copy, as in ``a5'``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernel
 from .permutations import Permutation
 
-__all__ = [
-    "ALPHA",
-    "BETA",
-    "ArcLabel",
-    "curve_advance",
-    "label_of",
-    "label_texts",
-    "reversal_pairing",
-]
-
-ALPHA = "alpha"
-BETA = "beta"
+__all__ = ["curve_advance", "label_texts", "reversal_pairing"]
 
 
 def _check_n(n: int) -> None:
@@ -34,45 +21,15 @@ def _check_n(n: int) -> None:
         raise ValueError("crossing count n must be at least 1")
 
 
-@dataclass(frozen=True)
-class ArcLabel:
-    """One directed arc: which curve, which arc index, which orientation."""
-
-    curve: str
-    index: int
-    inverted: bool = False
-
-    def __post_init__(self) -> None:
-        if self.curve not in (ALPHA, BETA):
-            raise ValueError(f"curve must be {ALPHA!r} or {BETA!r}, got {self.curve!r}")
-        if self.index < 1:
-            raise ValueError("arc index starts at 1")
-
-    def __str__(self) -> str:
-        mark = "'" if self.inverted else ""
-        return f"{self.curve[0]}{self.index}{mark}"
-
-
-def label_of(j: int, n: int) -> ArcLabel:
-    """Label of directed-arc symbol ``j`` in a system with ``n`` crossings.
-
-    >>> str(label_of(19, 5))
-    "a5'"
-    >>> str(label_of(6, 5))
-    'b3'
-    """
-    _check_n(n)
-    if not 1 <= j <= 4 * n:
-        raise ValueError(f"symbol {j} outside 1..{4 * n}")
-    inverted = j > 2 * n
-    base = j - 2 * n if inverted else j
-    if base % 2:
-        return ArcLabel(ALPHA, (base + 1) // 2, inverted)
-    return ArcLabel(BETA, base // 2, inverted)
-
-
 def label_texts(n: int) -> tuple[str, ...]:
-    """``str(label_of(j, n))`` at index j for every symbol; index 0 is unused."""
+    """The name of every symbol 1..4n at its own index; index 0 is unused.
+
+    Symbol 2i-1 is ``a<i>``, symbol 2i is ``b<i>``, and symbol j + 2n is
+    the name of j followed by an apostrophe.
+
+    >>> label_texts(5)[19], label_texts(5)[6]
+    ("a5'", 'b3')
+    """
     _check_n(n)
     forward = [f"{curve}{i}" for i in range(1, n + 1) for curve in "ab"]
     return ("", *forward, *(text + "'" for text in forward))

@@ -11,7 +11,7 @@ import sys
 
 from . import _kernel
 from .moves import extend_to
-from .permutations import Permutation
+from .permutations import MAX_DEGREE, Permutation
 from .search import SearchLimitError, SearchQuery, enumerate_solutions
 from .svg import render_svg
 from .tables import NoFillingPairError, min_intersection
@@ -103,6 +103,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     sigma = _load_sigma(args)
     if args.target_p < 0:
         raise ValueError(f"--target-p must be non-negative, got {args.target_p}")
+    degree = sigma.degree + 4 * (args.target_p - args.punctures)  # each surgery adds two punctures and eight symbols
+    if degree > MAX_DEGREE:
+        raise ValueError(f"--target-p {args.target_p} needs degree {degree}, above the cap of {MAX_DEGREE} symbols")
     instance = FillingInstance(sigma, args.genus, args.punctures)
     try:
         extended = extend_to(instance, args.target_p)

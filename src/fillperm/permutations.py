@@ -18,6 +18,9 @@ __all__ = ["Permutation"]
 
 _CYCLE = re.compile(r"\((\d+(?:,\d+)*)\)")
 
+# The most symbols a typed size may ask for, checked before anything of that size is allocated.
+MAX_DEGREE = 2**20
+
 
 class Permutation:
     """An immutable bijection of {1, ..., m}.
@@ -121,6 +124,8 @@ class Permutation:
             degree = ((top + 3) // 4) * 4
         if degree < 1:
             raise ValueError("degree must be at least 1")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} exceeds the cap of {MAX_DEGREE} symbols")
         images = list(range(1, degree + 1))
         seen = [False] * (degree + 1)
         for cycle in cycles:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import _kernel
-from .permutations import Permutation
+from .permutations import MAX_DEGREE, Permutation
 from .verify import FillingInstance, validate
 
 __all__ = [
@@ -62,6 +62,8 @@ class SearchQuery:
             raise ValueError("genus and punctures must be non-negative")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if 4 * self.n > MAX_DEGREE:
+            raise ValueError(f"degree {4 * self.n} exceeds the cap of {MAX_DEGREE} symbols")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
         if not (self.max_nodes >= 0 and self.max_seconds >= 0):  # also rejects a NaN budget, which never runs out
@@ -204,9 +206,12 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
     """Filter the whole symmetric group through validation.
 
     Only feasible up to degree 8; exists as an independent oracle for the
-    propagation search.
+    propagation search.  Both run in lexicographic order, so a ``limit``
+    keeps the same prefix, and ``symmetry_prune`` keeps the same
+    sigma(1) in {2, 2n+2}.  Every permutation counts as a node.
     """
     start = time.perf_counter()
+    deadline = start + query.max_seconds
     n = query.n
     degree = 4 * n
     if degree > 8:
@@ -216,12 +221,19 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
     nodes = 0
     for images in itertools.permutations(range(1, degree + 1)):
         nodes += 1
+        if nodes > query.max_nodes:
+            raise SearchLimitError(f"node budget {query.max_nodes} exhausted")
+        if nodes % 256 == 0 and time.perf_counter() > deadline:
+            raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
+        if query.symmetry_prune and images[0] not in (2, 2 * n + 2):
+            continue
         s = (0, *images)
         if _kernel.parity_offender(s) is not None or _kernel.equation_offender(s, rev, adv) is not None:
             continue
         perm = Permutation(images)
         if validate(FillingInstance(perm, query.genus, query.punctures)).valid:
             raw.append(perm)
-    raw.sort(key=lambda p: p.images)
-    solutions = _deduplicate(raw, query, start + query.max_seconds) if query.dedup else tuple(raw)
+            if len(raw) == query.limit:
+                break
+    solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
     return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)

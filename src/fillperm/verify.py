@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .arcs import ArcLabel, label_of, label_texts
+from .arcs import label_texts
 from .permutations import Permutation
 
 __all__ = [
@@ -181,17 +181,6 @@ class GluedSurface:
     euler_characteristic: int
     genus: int
     puncture_assignment: tuple[int, ...]
-
-    @property
-    def faces(self) -> tuple[tuple[ArcLabel, ...], ...]:
-        """One boundary word per polygon, built from ``face_cycles`` on each read."""
-        return tuple(tuple(label_of(j, self.n) for j in cycle) for cycle in self.face_cycles)
-
-    def __repr__(self) -> str:
-        # Lists the derived ``faces`` among the fields: GLUE_SHA256 in tests/test_verify.py hashes this text.
-        names = ("n", "face_cycles", "faces", "edge_pairing", "vertex_classes", "euler_characteristic", "genus",
-                 "puncture_assignment")
-        return f"GluedSurface({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
 
     @property
     def vertex_count(self) -> int:

@@ -4,6 +4,7 @@ the command line tests run `fillperm` in."""
 
 import os
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -46,6 +47,50 @@ def small_parameter_grid() -> list[tuple[int, int, int]]:
             for punctures in range(0, max(faces, 0) + 2):
                 grid.append((genus, punctures, n))
     return grid
+
+
+ALPHA = "alpha"
+BETA = "beta"
+
+
+@dataclass(frozen=True)
+class ArcLabel:
+    """One directed arc: which curve, which arc index, which orientation."""
+
+    curve: str
+    index: int
+    inverted: bool = False
+
+    def __post_init__(self) -> None:
+        if self.curve not in (ALPHA, BETA):
+            raise ValueError(f"curve must be {ALPHA!r} or {BETA!r}, got {self.curve!r}")
+        if self.index < 1:
+            raise ValueError("arc index starts at 1")
+
+    def __str__(self) -> str:
+        mark = "'" if self.inverted else ""
+        return f"{self.curve[0]}{self.index}{mark}"
+
+
+def label_of(j: int, n: int) -> ArcLabel:
+    """Label of directed-arc symbol ``j`` in a system with ``n`` crossings.
+
+    Worked out one symbol at a time, as the reference that ``arcs.label_texts`` is checked against.
+
+    >>> str(label_of(19, 5))
+    "a5'"
+    >>> str(label_of(6, 5))
+    'b3'
+    """
+    if n < 1:
+        raise ValueError("crossing count n must be at least 1")
+    if not 1 <= j <= 4 * n:
+        raise ValueError(f"symbol {j} outside 1..{4 * n}")
+    inverted = j > 2 * n
+    base = j - 2 * n if inverted else j
+    if base % 2:
+        return ArcLabel(ALPHA, (base + 1) // 2, inverted)
+    return ArcLabel(BETA, base // 2, inverted)
 
 
 def cycles_of(p: Permutation) -> list[tuple[int, ...]]:

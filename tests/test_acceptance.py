@@ -24,6 +24,7 @@ from fillperm import (
     validate,
     vertex_classes,
 )
+from fillperm.arcs import label_texts
 from conftest import _symmetry_elements, corner_rotation, cycles_of, small_parameter_grid
 
 
@@ -65,7 +66,9 @@ def _timed(fn) -> float:
 
 def test_face_words_up_to_rotation(genus2_sigma):
     with summary("face-words"):
-        got = [tuple(str(lab) for lab in w) for w in glue(genus2_sigma, 3).faces]
+        surface = glue(genus2_sigma, 3)
+        texts = label_texts(surface.n)
+        got = [tuple(texts[j] for j in cycle) for cycle in surface.face_cycles]
         wanted = [
             ("a1", "b1", "a5'", "b2'"),
             ("a2", "b4", "a3'", "b3'", "a5", "b2", "a4'", "b4'", "a3", "b5", "a1'", "b1'"),

@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fillperm import (
-    ALPHA,
-    BETA,
-    ArcLabel,
-    Permutation,
-    curve_advance,
-    label_of,
-    reversal_pairing,
-)
+from fillperm import Permutation, curve_advance, reversal_pairing
 from fillperm.arcs import label_texts
+
+from conftest import ALPHA, BETA, ArcLabel, label_of
 
 ns = st.integers(1, 8)
 
@@ -30,11 +24,9 @@ class TestLabels:
     def test_text_table_matches_label_of(self, n):
         assert label_texts(n) == ("", *(str(label_of(j, n)) for j in range(1, 4 * n + 1)))
 
-    def test_symbol_range_checked(self):
+    def test_crossing_count_checked(self):
         with pytest.raises(ValueError):
-            label_of(0, 2)
-        with pytest.raises(ValueError):
-            label_of(9, 2)
+            label_texts(0)
 
     @given(ns)
     def test_labels_are_a_bijection(self, n):

@@ -1,15 +1,20 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fillperm.certificates import GENUS2_BASE
+from fillperm.certificates import GENUS2_BASE, SPHERE_FOUR_BASE, TORUS_BASE
 from fillperm.cli import main
+from fillperm.permutations import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +134,14 @@ class TestSearch:
         )
         assert fast.splitlines()[:-1] == slow.splitlines()[:-1]
 
+    def test_naive_honours_limit_and_node_cap(self, capsys):
+        argv = ("search", "--genus", "1", "--punctures", "0", "--n", "2")
+        _, fast, _ = run_cli(capsys, *argv, "--limit", "1")
+        _, slow, _ = run_cli(capsys, *argv, "--naive", "--limit", "1")
+        assert fast.splitlines()[:-1] == slow.splitlines()[:-1] == ["(1,2,7,8)(3,4,5,6)"]
+        code, _, err = run_cli(capsys, *argv, "--naive", "--max-nodes", "5")
+        assert code == 3 and "node budget 5" in err
+
     def test_node_cap_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -246,6 +259,65 @@ def test_negative_count_or_budget_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--sigma", f"({MAX_DEGREE + 1})", "--genus", "0", "--punctures", "0"),
+    ("glue", "--sigma", "(1,2)", "--n", str(MAX_DEGREE // 4 + 1), "--punctures", "0"),
+    ("search", "--genus", "0", "--punctures", "0", "--n", str(MAX_DEGREE // 4 + 1)),
+    # 20 symbols plus 4 per added puncture: degree 2**20 + 4, one surgery past the cap.
+    ("extend", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3", "--target-p", str(MAX_DEGREE // 4 - 1)),
+], ids=["symbol", "n", "search", "target-p"])
+def test_typed_size_above_the_cap_exits_1_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert f"cap of {MAX_DEGREE} symbols" in err
+    assert peak < 2**20
+
+
+# Cycle text over symbols 0..99 only: integers never touch, so no larger number can form.
+_cycle_text = st.one_of(
+    st.sampled_from([GENUS2_BASE, TORUS_BASE, SPHERE_FOUR_BASE]),
+    st.builds(
+        lambda head, pieces: head + "".join(f"{k}{sep}" for k, sep in pieces),
+        st.sampled_from(["(", "", " (", ")"]),
+        st.lists(st.tuples(st.integers(0, 99), st.sampled_from([",", ")(", ")", " , ", "(", ",,", "x", "\n"])), max_size=12),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(
+    command=st.sampled_from(["verify", "glue", "extend", "export-svg"]),
+    text=_cycle_text,
+    n=st.one_of(st.none(), st.integers(0, 25)),
+    genus=st.integers(-1, 3),
+    punctures=st.integers(-1, 6),
+    target_p=st.integers(-1, 9),
+)
+def test_parse_surface_fuzz(fuzz_dir, command, text, n, genus, punctures, target_p):
+    """Nothing escapes ``main`` on any cycle text, and the exit code is a documented one."""
+    argv = [command, f"--sigma={text}", f"--punctures={punctures}"]
+    if n is not None:
+        argv.append(f"--n={n}")
+    if command in ("verify", "extend"):
+        argv.append(f"--genus={genus}")
+    if command == "extend":
+        argv.append(f"--target-p={target_p}")
+    if command == "export-svg":
+        argv.append(f"--out={fuzz_dir / 'fuzz.svg'}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
 
 
 class TestEntryPoints:

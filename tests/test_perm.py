@@ -1,10 +1,13 @@
 """Permutation arithmetic against small hand-worked examples."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fillperm import Permutation, _kernel
+from fillperm.permutations import MAX_DEGREE
 
 from conftest import cycles_of
 
@@ -134,3 +137,14 @@ def test_conjugation_preserves_cycle_type(p):
 def test_cycle_count_matches_decomposition(p):
     cycles = cycles_of(p)
     assert _kernel.faces((0, *p.images)) == (len(cycles), sum(len(c) == 2 for c in cycles))
+
+
+def test_symbol_above_the_cap_is_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 4} exceeds the cap"):
+            Permutation.parse(f"({MAX_DEGREE + 1})")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

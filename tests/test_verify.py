@@ -19,7 +19,7 @@ from fillperm import (
 )
 from fillperm import _kernel
 
-from conftest import corner_rotation
+from conftest import corner_rotation, label_of
 
 CHECK_NAMES = [
     "degree-divisible-by-4",
@@ -53,11 +53,10 @@ class TestGenus2Certificate:
         assert lines[-1] == "result: VALID"
 
     def test_face_words(self, genus2_sigma):
-        words = [" ".join(str(lab) for lab in w) for w in glue(genus2_sigma, 3).faces]
-        assert words == [
-            "a1 b1 a5' b2'",
-            "a2 b4 a3' b3' a5 b2 a4' b4' a3 b5 a1' b1'",
-            "b3 a2' b5' a4",
+        assert glue(genus2_sigma, 3).lines() == [
+            "F1: a1 b1 a5' b2' *",
+            "F2: a2 b4 a3' b3' a5 b2 a4' b4' a3 b5 a1' b1' *",
+            "F3: b3 a2' b5' a4 *",
         ]
 
     def test_vertex_classes(self, genus2_sigma):
@@ -362,6 +361,9 @@ class TestFrozenOutputs:
                 surf = glue(sigma, punctures)
             except ValueError as exc:
                 return f"{head} error: {exc}"
-            return f"{head} {surf}"
+            # The text GLUE_SHA256 was recorded from: the surface's fields with its face words third.
+            fields = [(f.name, getattr(surf, f.name)) for f in dataclasses.fields(surf)]
+            fields.insert(2, ("faces", tuple(tuple(label_of(j, surf.n) for j in c) for c in surf.face_cycles)))
+            return f"{head} GluedSurface({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
         assert _digest(describe(sigma, punctures) for sigma, _, punctures in corpus) == GLUE_SHA256
