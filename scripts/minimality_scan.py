@@ -7,12 +7,15 @@ nonempty n matches it.  Surfaces whose minimum exceeds --cap-n are only
 probed below the cap, which still confirms emptiness there.  A surface
 whose search runs out of --max-seconds is reported as BUDGET and the
 scan goes on; the exit status is then 3, as for the CLI's resource cap
-(1 if any surface contradicts the closed form).
+(1 if any surface contradicts the closed form, 2 for a negative size,
+a --cap-n below 1 or a negative or NaN --max-seconds).
 
-The default rectangle takes 0.35-0.5 s on a 2-vCPU Intel Xeon virtual
-machine with CPython 3.11.7, and --max-genus 3 adds the genus-3 sweeps
-in about the same time; --max-genus 3 --max-punctures 6 --cap-n 7 takes
-4.2-5.0 s there (1.9 s when the machine ran faster).
+Each count comes from fillperm.search.shift_classes, which walks one
+crossing sequence per basepoint-shift class.  The default rectangle takes
+about 0.2 s on a 2-vCPU Intel Xeon virtual machine with CPython 3.11.7,
+and --max-genus 3 adds the genus-3 sweeps in a few hundredths more;
+--max-genus 3 --max-punctures 6 --cap-n 7 takes about 1.0 s there and
+--cap-n 8 (28 surfaces, S_3,4 at n = 8 the largest) 7.3-8.1 s.
 """
 
 import argparse
@@ -34,6 +37,13 @@ def main() -> int:
     ap.add_argument("--cap-n", type=int, default=6, help="never search past this n")
     ap.add_argument("--max-seconds", type=float, default=120.0, help="per-search budget")
     args = ap.parse_args()
+    for flag, value in (("--max-genus", args.max_genus), ("--max-punctures", args.max_punctures)):
+        if value < 0:
+            ap.error(f"{flag} must be non-negative")
+    if args.cap_n < 1:
+        ap.error("--cap-n must be at least 1")
+    if not args.max_seconds >= 0:  # also rejects NaN, which never runs out
+        ap.error("--max-seconds must be non-negative")
 
     failures = exhausted = 0
     for genus in range(args.max_genus + 1):

@@ -12,6 +12,9 @@ checks' numbers and builds no report text unless it is read.  The time
 budget covers the search and dedup.  A brute-force oracle over the full
 symmetric group covers degrees up to 8 and exists so the two routes can
 be checked against each other.
+
+``shift_classes`` counts the same solutions one basepoint-shift class at
+a time by walking crossing sequences instead (see its docstring).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "canonical_form",
     "enumerate_solutions",
     "naive_enumerate",
+    "shift_classes",
 ]
 
 
@@ -44,16 +48,12 @@ class _StopSearch(Exception):
 
 @dataclass(frozen=True)
 class SearchQuery:
-    """``symmetry_prune`` keeps exactly one solution per orbit of the second
-    curve's basepoint shift, so the unpruned raw count is n times the pruned one."""
-
     genus: int
     punctures: int
     n: int
     dedup: bool = False
     limit: int | None = None
     naive: bool = False
-    symmetry_prune: bool = False
     max_nodes: int = 10**9
     max_seconds: float = 600.0
 
@@ -138,9 +138,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                 if query.limit is not None and len(raw) >= query.limit:
                     raise _StopSearch
             return
-        if query.symmetry_prune and assigned == 0:
-            values: tuple[int, ...] | range = (2, 2 * n + 2)
-        elif j % 2:
+        if j % 2:
             values = range(2, degree + 1, 2)
         else:
             values = range(1, degree, 2)
@@ -207,8 +205,7 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
 
     Only feasible up to degree 8; exists as an independent oracle for the
     propagation search.  Both run in lexicographic order, so a ``limit``
-    keeps the same prefix, and ``symmetry_prune`` keeps the same
-    sigma(1) in {2, 2n+2}.  Every permutation counts as a node.
+    keeps the same prefix.  Every permutation counts as a node.
     """
     start = time.perf_counter()
     deadline = start + query.max_seconds
@@ -225,8 +222,6 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
             raise SearchLimitError(f"node budget {query.max_nodes} exhausted")
         if nodes % 256 == 0 and time.perf_counter() > deadline:
             raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
-        if query.symmetry_prune and images[0] not in (2, 2 * n + 2):
-            continue
         s = (0, *images)
         if _kernel.parity_offender(s) is not None or _kernel.equation_offender(s, rev, adv) is not None:
             continue
@@ -237,3 +232,110 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
                 break
     solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
     return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)
+
+
+def shift_classes(
+    genus: int, punctures: int, n: int, max_nodes: int = 10**9, max_seconds: float = 600.0
+) -> tuple[int, int, int]:
+    """Classes, raw count and nodes of the filling permutations for (genus, punctures, n).
+
+    Walks crossing sequences ``(w, eps)`` (see ``_kernel.crossings``) with
+    w(0) = 0, which quotients the second curve's basepoint shift, placing
+    crossings in first-curve order.  The first curve's shift rotates the
+    pairs x_k = (eps_k, w(k+1) - w(k) mod n), so a shift class is a
+    necklace of them, and the prenecklace test of Fredricksen, Kessler and
+    Maiorana (Ruskey, Savage and Wang, *Generating necklaces*, 1992) keeps
+    exactly its lexicographically smallest rotation: a prefix is dropped
+    once some x_t falls below x_{t-p}, p the period so far.  The second
+    curve's shift acts freely and a necklace of period p has p rotations,
+    so its class holds n * p solutions.  Each crossing fixes four images of sigma,
+    which never collide, and the open-segment face count of
+    ``enumerate_solutions`` prunes on face overflow, bigon overflow and
+    premature closure.  Every representative passes the public
+    ``validate``.  A node is one placed crossing; the budgets are those
+    of :class:`SearchQuery`.
+    """
+    SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
+    deadline = time.perf_counter() + max_seconds
+    target_faces = n + 2 - 2 * genus
+    if target_faces < 1 or punctures > target_faces:
+        return 0, 0, 0
+
+    half = 2 * n
+    head = list(range(2 * half + 1))
+    tail = list(range(2 * half + 1))
+    steps = [0] * (2 * half + 1)
+    free = [c > 0 for c in range(n)]
+    w = [0] * n
+    eps = [False] * n
+    x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
+    classes = raw = nodes = 0
+
+    def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int) -> None:
+        nonlocal classes, raw, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchLimitError(f"node budget {max_nodes} exhausted")
+        if nodes % 256 == 0 and time.perf_counter() > deadline:
+            raise SearchLimitError(f"time budget {max_seconds}s exhausted")
+        a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
+        b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
+        if right:
+            chain = ((b_in, a_out), (a_out + half, b_out), (b_out + half, a_in + half), (a_in, b_in + half))
+        else:
+            chain = ((b_in, a_in + half), (a_in, b_out), (b_out + half, a_out), (a_out + half, b_in + half))
+        # Each step closes a face when b starts a's own segment, else joins the two segments.
+        for a, b in chain:
+            s = head[a]
+            if s == b:
+                faces += 1
+                bigons += steps[b] == 1
+            else:
+                e = tail[b]
+                tail[s], head[e] = e, s
+                steps[s] += steps[b] + 1
+        if faces <= target_faces and bigons <= punctures:
+            w[k], eps[k] = c, right
+            if k == n - 1:
+                if faces == target_faces and n % period == 0:
+                    perm = Permutation(_kernel.from_crossings(w, eps)[1:])
+                    if not validate(FillingInstance(perm, genus, punctures)).valid:
+                        raise RuntimeError("internal inconsistency: walk produced an invalid candidate")
+                    classes += 1
+                    raw += n * period
+            elif faces < target_faces:
+                walk(k + 1, faces, bigons, period)
+        # Undo newest first; a join left head[a] and tail[b] untouched.
+        for a, b in reversed(chain):
+            s = head[a]
+            if s != b:
+                tail[s], head[tail[b]] = a, b
+                steps[s] -= steps[b] + 1
+
+    def walk(k: int, faces: int, bigons: int, period: int) -> None:
+        # Choosing w(k) fixes x_{k-1}; choosing eps_k at the last crossing fixes x_{n-1} too.
+        t, last = k - 1, k == n - 1
+        for c in range(1, n):
+            if not free[c]:
+                continue
+            x[t] = eps[t] * n + (c - w[t]) % n
+            if t and x[t] < x[t - period]:
+                continue
+            p = t + 1 if t and x[t] > x[t - period] else period
+            free[c] = False
+            for right in (False, True):
+                if last:
+                    x[k] = right * n + -c % n
+                    if x[k] < x[k - p]:
+                        continue
+                    q = k + 1 if x[k] > x[k - p] else p
+                elif right < x[k - p] // n:
+                    continue  # x_k would fall below x_{k-p} whatever w(k+1) is
+                else:
+                    q = p
+                place(k, c, right, faces, bigons, q)
+            free[c] = True
+
+    for right in (False, True):
+        place(0, 0, right, 0, 0, 1)
+    return classes, raw, nodes

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .search import SearchQuery, enumerate_solutions
+from .permutations import Permutation
+from .search import SearchQuery, enumerate_solutions, shift_classes
 
 __all__ = [
     "CrossValidation",
@@ -20,7 +21,7 @@ class NoFillingPairError(Exception):
 
 
 class CrossValidationError(Exception):
-    """The search-determined minimum disagrees with the closed form."""
+    """The search-determined minimum disagrees with the closed form, or the two search engines disagree."""
 
 
 def min_intersection(genus: int, punctures: int) -> int:
@@ -50,6 +51,7 @@ class CrossValidation:
     counts: tuple[tuple[int, int], ...]
     smallest_nonempty: int | None
     expected: int | None
+    witness: Permutation | None
 
     def lines(self) -> list[str]:
         out = [f"genus={self.genus} punctures={self.punctures}"]
@@ -68,25 +70,24 @@ def cross_validate(
 ) -> CrossValidation:
     """Probe search emptiness for every n up to ``n_max`` against the table.
 
-    Each count is the full raw count, but the search walks one solution
-    per orbit of the second curve's basepoint shifts, so ``max_nodes``
-    and ``max_seconds`` bound that quotient tree.  Raises
-    :class:`CrossValidationError` when the search finds a smallest
-    nonempty n that contradicts the closed form (or finds any solution on
-    a surface where no filling pair should exist).
+    Each count is the full raw count, read from ``shift_classes``, which
+    walks one crossing sequence per basepoint-shift class, so ``max_nodes``
+    and ``max_seconds`` bound each n's walk.  The propagation search of
+    ``enumerate_solutions`` then supplies one ``witness`` at the smallest
+    nonempty n, under the same budgets.  Raises
+    :class:`CrossValidationError` when the walk finds a smallest nonempty
+    n that contradicts the closed form (or finds any solution on a
+    surface where no filling pair should exist), or when the search finds
+    no witness where the walk counted solutions.
     """
     counts: list[tuple[int, int]] = []
     smallest: int | None = None
     for n in range(1, n_max + 1):
-        # The second curve's basepoint shift fixes the odd symbol 1 and moves
-        # the even sigma(1) along its curve in its orientation, so the shifts
-        # (order n) act freely and each orbit has exactly one solution with
-        # sigma(1) in {2, 2n+2}: the ones symmetry_prune keeps.
-        result = enumerate_solutions(SearchQuery(
-            genus, punctures, n, symmetry_prune=True, max_nodes=max_nodes, max_seconds=max_seconds
-        ))
-        counts.append((n, n * result.raw_count))
-        if result.raw_count and smallest is None:
+        # A shift class of period p holds n * p solutions, so the walk's raw
+        # count is the full count of the unquotiented search.
+        raw = shift_classes(genus, punctures, n, max_nodes, max_seconds)[1]
+        counts.append((n, raw))
+        if raw and smallest is None:
             smallest = n
     try:
         expected: int | None = min_intersection(genus, punctures)
@@ -108,4 +109,14 @@ def cross_validate(
         raise CrossValidationError(
             f"solution at n = {smallest} sits below the closed form {expected}"
         )
-    return CrossValidation(genus, punctures, n_max, tuple(counts), smallest, expected)
+    witness = None
+    if smallest is not None:
+        found = enumerate_solutions(SearchQuery(
+            genus, punctures, smallest, limit=1, max_nodes=max_nodes, max_seconds=max_seconds
+        )).solutions
+        if not found:
+            raise CrossValidationError(
+                f"the propagation search finds no witness at n = {smallest}, where the walk counted solutions"
+            )
+        witness = found[0]
+    return CrossValidation(genus, punctures, n_max, tuple(counts), smallest, expected, witness)

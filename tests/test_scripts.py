@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fillperm import Permutation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -25,6 +27,22 @@ def test_minimality_scan_reports_exhausted_budget(checkout_on_pythonpath):
         "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,3", "S_2,4",
     ]
     assert lines[-1] == "6 surface(s) ran out of budget"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max-seconds", "-1"),
+    ("--max-seconds", "nan"),
+    ("--max-genus", "-1"),
+    ("--max-punctures", "-1"),
+    ("--cap-n", "-1"),
+    ("--cap-n", "0"),
+])
+def test_minimality_scan_rejects_bad_arguments(checkout_on_pythonpath, argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "minimality_scan.py"), *argv], capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"error: {argv[0]}" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_genus2_odd_punctures_certifies_every_cell(checkout_on_pythonpath):

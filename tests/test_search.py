@@ -1,4 +1,4 @@
-"""Propagation search vs. the brute-force oracle, plus symmetry machinery."""
+"""Propagation search and shift-class walk vs. the brute-force oracle, plus symmetry machinery."""
 
 import hashlib
 import types
@@ -19,6 +19,10 @@ from fillperm import (
     reversal_pairing,
     validate,
 )
+from fillperm import _kernel
+from fillperm.cli import main
+from fillperm.permutations import MAX_DEGREE
+from fillperm.search import shift_classes
 import fillperm.search as search_module
 
 from conftest import _symmetry_elements, small_parameter_grid, symmetry_group
@@ -74,12 +78,12 @@ def test_oracle_equivalence(genus, punctures, n):
 
 @pytest.mark.parametrize("genus, punctures, n", small_parameter_grid())
 def test_oracle_limits_and_pruning(genus, punctures, n):
-    """Both routes keep the same lexicographic prefix, and pruning keeps one solution in n by brute force too."""
+    """Both routes keep the same lexicographic prefix, and the shift-class walk's quotient agrees with brute force."""
     query = SearchQuery(genus, punctures, n, limit=2)
     assert naive_enumerate(query).solutions == enumerate_solutions(query).solutions
-    pruned = SearchQuery(genus, punctures, n, symmetry_prune=True)
-    assert naive_enumerate(pruned).solutions == enumerate_solutions(pruned).solutions
-    assert naive_enumerate(pruned).raw_count * n == naive_enumerate(SearchQuery(genus, punctures, n)).raw_count
+    oracle = naive_enumerate(SearchQuery(genus, punctures, n))
+    classes = {tuple(_kernel.canonical((0, *p.images), n)) for p in oracle.solutions}
+    assert shift_classes(genus, punctures, n)[:2] == (len(classes), oracle.raw_count)
 
 
 # Search tree recorded before the segment bookkeeping replaced the per-node
@@ -97,8 +101,6 @@ PINNED_TREES = [
       for p, row in SPHERE_NODES.items() for n, nodes in enumerate(row, 1)),
     ((2, 3, 5), {}, 6210, 2300, "dbd02ed9666a451583a582e9fc568d15fb0310f61b038bba40d537289b287e81"),
     ((1, 2, 3), {}, 78, 48, "a358bef55da88d63d4e120ddb14407749ece4f93d95d7d85828274265247f988"),
-    ((1, 2, 4), {"symmetry_prune": True}, 158, 44,
-     "99a417f5043689a790ebd251c196da5a399c2d1102a82a736dafe6191430b19d"),
     ((2, 3, 5), {"limit": 7}, 21, 7, "4e64ca2ee73c1898a683dfdad54c91ca1d02cbabfce928c5dedddd7db580a3d3"),
 ]
 
@@ -231,9 +233,50 @@ class TestSymmetry:
         assert len(enumerate_solutions(SearchQuery(0, 4, 2, dedup=True)).solutions) == 1
         assert len(enumerate_solutions(SearchQuery(1, 0, 1, dedup=True)).solutions) == 2
 
-    @pytest.mark.parametrize("genus, punctures, n", [(1, 0, 1), (0, 4, 2), (1, 2, 3), (1, 0, 3)])
-    def test_first_guess_pruning_preserves_classes(self, genus, punctures, n):
-        full = enumerate_solutions(SearchQuery(genus, punctures, n, dedup=True))
-        pruned = enumerate_solutions(SearchQuery(genus, punctures, n, dedup=True, symmetry_prune=True))
-        assert full.solutions == pruned.solutions
-        assert pruned.nodes_explored <= full.nodes_explored
+
+class TestShiftClasses:
+    """The crossing-sequence walk: one necklace per basepoint-shift class, n * period solutions each."""
+
+    @pytest.mark.parametrize("params, classes, raw", [
+        ((2, 3, 5), 92, 2300),
+        ((2, 4, 6), 664, 23616),
+        ((1, 2, 4), 14, 176),
+        ((0, 4, 6), 2, 72),
+        ((2, 5, 7), 3712, 181888),  # the paper's first cell past the earlier tables
+    ])
+    def test_pinned_class_and_raw_counts(self, params, classes, raw):
+        assert shift_classes(*params)[:2] == (classes, raw)
+
+    @pytest.mark.parametrize("punctures, n", [(3, 5), (4, 6)])
+    def test_classes_are_the_cli_dedup_count(self, capsys, punctures, n):
+        assert main(["search", "--genus", "2", "--punctures", str(punctures), "--n", str(n), "--dedup"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1].split()
+        assert f"dedup={shift_classes(2, punctures, n)[0]}" in summary
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sphere_solutions_balance_their_signs(self, n):
+        # On the sphere the algebraic intersection number is 0: half the crossings are right-handed.
+        # With p = n + 2, every face may hold a puncture, so this is every sphere solution.
+        for sigma in enumerate_solutions(SearchQuery(0, n + 2, n)).solutions:
+            assert 2 * sum(_kernel.crossings((0, *sigma.images), n)[1]) == n
+
+    def test_budgets(self):
+        with pytest.raises(SearchLimitError, match="node budget 50 exhausted"):
+            shift_classes(2, 4, 6, max_nodes=50)
+        with pytest.raises(SearchLimitError, match="time budget 0.0s exhausted"):
+            shift_classes(2, 4, 6, max_seconds=0.0)
+        # Under 256 nodes the clock is never read.
+        assert shift_classes(1, 4, 4, max_seconds=0.0)[2] < 256
+
+    @pytest.mark.parametrize("args, budgets", [
+        ((-1, 0, 1), {}),
+        ((0, -1, 1), {}),
+        ((0, 0, 0), {}),
+        ((1, 0, MAX_DEGREE // 4 + 1), {}),
+        ((1, 0, 1), {"max_nodes": -1}),
+        ((1, 0, 1), {"max_seconds": -1.0}),
+        ((1, 0, 1), {"max_seconds": float("nan")}),
+    ])
+    def test_entry_checks(self, args, budgets):
+        with pytest.raises(ValueError):
+            shift_classes(*args, **budgets)

@@ -4,11 +4,13 @@ import pytest
 
 from fillperm import (
     CrossValidationError,
+    FillingInstance,
     NoFillingPairError,
     SearchQuery,
     cross_validate,
     enumerate_solutions,
     min_intersection,
+    validate,
 )
 
 
@@ -100,44 +102,51 @@ class TestCrossValidation:
         for n, count in cv.counts:
             assert count == enumerate_solutions(SearchQuery(genus, punctures, n)).raw_count
 
-    # The disagreement paths only fire when search and table contradict
-    # each other, so a lying search stub stands in for a real bug.
+    def test_witness_comes_from_the_propagation_search(self):
+        cv = cross_validate(1, 0, n_max=3)
+        assert str(cv.witness) == "(1,2,3,4)"
+        assert validate(FillingInstance(cv.witness, 1, 0)).valid
+        assert cross_validate(0, 2, n_max=2).witness is None
 
-    def test_solution_below_closed_form_raises(self, monkeypatch):
+    # The disagreement paths only fire when the walk, the search and the
+    # table contradict each other, so a lying stub stands in for a real bug.
+
+    @staticmethod
+    def lying_walk(monkeypatch, raw_count):
         import fillperm.tables as tables
 
-        real = tables.enumerate_solutions
+        real = tables.shift_classes
 
-        def inflated(query):
-            r = real(query)
-            return type(r)(r.solutions, max(r.raw_count, 1), r.nodes_explored, r.wall_time)
+        def lying(genus, punctures, n, *budgets):
+            classes, raw, nodes = real(genus, punctures, n, *budgets)
+            return classes, raw_count(n, raw), nodes
 
-        monkeypatch.setattr(tables, "enumerate_solutions", inflated)
+        monkeypatch.setattr(tables, "shift_classes", lying)
+
+    def test_solution_below_closed_form_raises(self, monkeypatch):
+        self.lying_walk(monkeypatch, lambda n, raw: max(raw, 1))
         with pytest.raises(CrossValidationError, match="below the closed form"):
             cross_validate(2, 0, n_max=3)
 
     def test_solution_on_unfillable_surface_raises(self, monkeypatch):
-        import fillperm.tables as tables
-
-        real = tables.enumerate_solutions
-
-        def inflated(query):
-            r = real(query)
-            return type(r)(r.solutions, max(r.raw_count, 1), r.nodes_explored, r.wall_time)
-
-        monkeypatch.setattr(tables, "enumerate_solutions", inflated)
+        self.lying_walk(monkeypatch, lambda n, raw: max(raw, 1))
         with pytest.raises(CrossValidationError, match="admits none"):
             cross_validate(0, 1, n_max=1)
 
     def test_missed_minimum_raises(self, monkeypatch):
+        self.lying_walk(monkeypatch, lambda n, raw: 0 if n == 1 else raw)
+        with pytest.raises(CrossValidationError, match="!="):
+            cross_validate(1, 0, n_max=2)
+
+    def test_missing_witness_raises(self, monkeypatch):
         import fillperm.tables as tables
 
         real = tables.enumerate_solutions
 
         def suppressed(query):
             r = real(query)
-            return type(r)(r.solutions, 0 if query.n == 1 else r.raw_count, r.nodes_explored, r.wall_time)
+            return type(r)((), 0, r.nodes_explored, r.wall_time)
 
         monkeypatch.setattr(tables, "enumerate_solutions", suppressed)
-        with pytest.raises(CrossValidationError, match="!="):
-            cross_validate(1, 0, n_max=2)
+        with pytest.raises(CrossValidationError, match="no witness at n = 5"):
+            cross_validate(2, 3, n_max=5)

@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fillperm import (
     FillingInstance,
@@ -276,6 +278,43 @@ class TestDerivedChecks:
                 faces = _kernel.faces((0, *sigma.images))[0]
                 surf = glue(sigma, faces)
                 assert surf.euler_characteristic % 2 == 0
+
+
+@st.composite
+def claimed_instances(draw):
+    """A permutation of degree 4n <= 40 with a claimed genus and puncture count, and whether it must be valid.
+
+    A third are uniform, a third are crossing sequences (filling permutations)
+    and a third are crossing sequences with two images swapped.  A crossing
+    sequence is claimed with its own genus and a feasible puncture count
+    about half the time.
+    """
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("uniform", "crossings", "swapped")))
+    if kind == "uniform":
+        images = list(draw(st.permutations(range(1, 4 * n + 1))))
+    else:
+        w = draw(st.permutations(range(n)))
+        images = _kernel.from_crossings(w, draw(st.lists(st.booleans(), min_size=n, max_size=n)))[1:]
+        if kind == "swapped":
+            i, j = draw(st.lists(st.integers(0, 4 * n - 1), min_size=2, max_size=2, unique=True))
+            images[i], images[j] = images[j], images[i]
+    faces, bigons = _kernel.faces((0, *images))
+    own = draw(st.booleans())
+    genus = (n + 2 - faces) // 2 if own else draw(st.integers(0, 6))
+    punctures = draw(st.integers(bigons, faces)) if own else draw(st.integers(0, 14))
+    return Permutation(images), genus, punctures, own and kind == "crossings"
+
+
+@given(claimed_instances())
+def test_validate_fuzz(case):
+    sigma, genus, punctures, must_be_valid = case
+    report = validate(FillingInstance(sigma, genus, punctures))
+    assert len(report.lines()) == 11
+    assert report.valid or not must_be_valid
+    if report.valid:
+        surface = glue(sigma, punctures)
+        assert (surface.genus, sum(surface.puncture_assignment)) == (genus, punctures)
 
 
 class TestInstanceConstruction:
