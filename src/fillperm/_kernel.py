@@ -109,6 +109,16 @@ def crossings(s: Sequence[int], n: int) -> tuple[list[int], list[bool]]:
     return w, eps
 
 
+def corners(k: int, c: int, right: bool, n: int) -> tuple[tuple[int, int], ...]:
+    """The four (side, image) pairs of sigma fixed by crossing k at position c of the second curve."""
+    half = 2 * n
+    a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
+    b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
+    if right:
+        return (b_in, a_out), (a_out + half, b_out), (b_out + half, a_in + half), (a_in, b_in + half)
+    return (b_in, a_in + half), (a_in, b_out), (b_out + half, a_out), (a_out + half, b_in + half)
+
+
 def from_crossings(w: Sequence[int], eps: Sequence[bool]) -> list[int]:
     """Padded images of the crossing sequence ``(w, eps)``, inverse to ``crossings``.
 
@@ -118,15 +128,10 @@ def from_crossings(w: Sequence[int], eps: Sequence[bool]) -> list[int]:
     ([1, 0], [True, False])
     """
     n = len(w)
-    half = 2 * n
-    s = [0] * (2 * half + 1)
+    s = [0] * (4 * n + 1)
     for k, (c, right) in enumerate(zip(w, eps)):
-        a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
-        b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
-        if right:
-            s[b_in], s[a_out + half], s[b_out + half], s[a_in] = a_out, b_out, a_in + half, b_in + half
-        else:
-            s[b_in], s[a_in], s[b_out + half], s[a_out + half] = a_in + half, b_out, a_out, b_in + half
+        for side, image in corners(k, c, right, n):
+            s[side] = image
     return s
 
 

@@ -14,7 +14,7 @@ from .moves import extend_to
 from .permutations import MAX_DEGREE, Permutation
 from .search import SearchLimitError, SearchQuery, enumerate_solutions
 from .svg import render_svg
-from .tables import NoFillingPairError, min_intersection
+from .tables import CrossValidationError, NoFillingPairError, cross_validate, min_intersection
 from .verify import FillingInstance, glue, validate
 
 EXIT_OK = 0
@@ -118,6 +118,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _closed_form(genus: int, punctures: int) -> int | None:
+    try:
+        return min_intersection(genus, punctures)
+    except NoFillingPairError:
+        return None
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     grid_flags = (args.max_genus is not None, args.max_punctures is not None)
     if any(grid_flags):
@@ -126,23 +133,54 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         if args.max_genus < 0 or args.max_punctures < 0:
             raise ValueError("--max-genus and --max-punctures must be non-negative")
-        print("g\\p " + " ".join(str(p) for p in range(args.max_punctures + 1)))
-        for g in range(args.max_genus + 1):
-            cells = []
-            for p in range(args.max_punctures + 1):
-                try:
-                    cells.append(str(min_intersection(g, p)))
-                except NoFillingPairError:
-                    cells.append("none")
-            print(f"{g} " + " ".join(cells))
-        return EXIT_OK
-    if args.genus is None or args.punctures is None:
+        genera, punctures = range(args.max_genus + 1), range(args.max_punctures + 1)
+    elif args.genus is None or args.punctures is None:
         print("error: need --genus and --punctures, or both --max-* flags", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        print(min_intersection(args.genus, args.punctures))
-    except NoFillingPairError:
-        print("none")
+    else:
+        genera, punctures = (args.genus,), (args.punctures,)
+    if args.cap_n is not None:
+        return _scan([(g, p) for g in genera for p in punctures], args.cap_n, args.max_seconds)
+    rows = [[str(_closed_form(g, p) or "none") for p in punctures] for g in genera]  # no minimum is 0
+    if not any(grid_flags):
+        print(rows[0][0])
+        return EXIT_OK
+    print("g\\p " + " ".join(str(p) for p in punctures))
+    for g, row in zip(genera, rows):
+        print(f"{g} " + " ".join(row))
+    return EXIT_OK
+
+
+def _scan(cells: list[tuple[int, int]], cap_n: int, max_seconds: float) -> int:
+    """Search every n up to min(closed form, ``cap_n``) on each cell: one line per cell, then a summary."""
+    failures = exhausted = 0
+    for g, p in cells:
+        expected = _closed_form(g, p)
+        n_max = cap_n if expected is None else min(expected, cap_n)
+        try:
+            cv = cross_validate(g, p, n_max, max_seconds=max_seconds)
+        except CrossValidationError as exc:
+            failures += 1
+            print(f"S_{g},{p}: CONTRADICTION: {exc}")
+            continue
+        except SearchLimitError as exc:
+            exhausted += 1
+            print(f"S_{g},{p}: BUDGET: {exc}")
+            continue
+        if expected is None:
+            verdict = "none expected, none found"
+        elif expected <= n_max:
+            verdict = f"minimum {expected} confirmed"
+        else:
+            verdict = f"empty below cap (closed form {expected})"
+        print(f"S_{g},{p}: " + " ".join(f"n{n}:{c}" for n, c in cv.counts) + f"  [{verdict}]")
+    if failures:
+        print(f"{failures} contradiction(s) found")
+        return EXIT_INVALID
+    if exhausted:
+        print(f"{exhausted} surface(s) ran out of budget")
+        return EXIT_RESOURCES
+    print("all surfaces agree with the closed form")
     return EXIT_OK
 
 
@@ -193,11 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_extend.add_argument("--target-p", type=int, required=True, dest="target_p")
     p_extend.set_defaults(func=_cmd_extend)
 
-    p_table = sub.add_parser("table", help="minimal crossing numbers")
+    p_table = sub.add_parser("table", help="minimal crossing numbers, optionally confirmed by exhaustive search")
     p_table.add_argument("--genus", type=int, default=None)
     p_table.add_argument("--punctures", type=int, default=None)
     p_table.add_argument("--max-genus", type=int, default=None)
     p_table.add_argument("--max-punctures", type=int, default=None)
+    p_table.add_argument("--cap-n", type=int, default=None, help="confirm each value by exhaustion up to this n")
+    p_table.add_argument("--max-seconds", type=float, default=120.0, help="per-search budget of --cap-n")
     p_table.set_defaults(func=_cmd_table)
 
     p_svg = sub.add_parser("export-svg", help="draw the polygon decomposition")

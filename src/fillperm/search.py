@@ -261,14 +261,15 @@ def shift_classes(
     if target_faces < 1 or punctures > target_faces:
         return 0, 0, 0
 
-    half = 2 * n
-    head = list(range(2 * half + 1))
-    tail = list(range(2 * half + 1))
-    steps = [0] * (2 * half + 1)
+    head = list(range(4 * n + 1))
+    tail = list(range(4 * n + 1))
+    steps = [0] * (4 * n + 1)
     free = [c > 0 for c in range(n)]
     w = [0] * n
     eps = [False] * n
     x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
+    # Each crossing (k, c, right) fixes four images of sigma; chains[k][c][right] lists them.
+    chains = [[(_kernel.corners(k, c, False, n), _kernel.corners(k, c, True, n)) for c in range(n)] for k in range(n)]
     classes = raw = nodes = 0
 
     def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int) -> None:
@@ -278,12 +279,7 @@ def shift_classes(
             raise SearchLimitError(f"node budget {max_nodes} exhausted")
         if nodes % 256 == 0 and time.perf_counter() > deadline:
             raise SearchLimitError(f"time budget {max_seconds}s exhausted")
-        a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
-        b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
-        if right:
-            chain = ((b_in, a_out), (a_out + half, b_out), (b_out + half, a_in + half), (a_in, b_in + half))
-        else:
-            chain = ((b_in, a_in + half), (a_in, b_out), (b_out + half, a_out), (a_out + half, b_in + half))
+        chain = chains[k][c][right]
         # Each step closes a face when b starts a's own segment, else joins the two segments.
         for a, b in chain:
             s = head[a]

@@ -78,8 +78,11 @@ def cross_validate(
     :class:`CrossValidationError` when the walk finds a smallest nonempty
     n that contradicts the closed form (or finds any solution on a
     surface where no filling pair should exist), or when the search finds
-    no witness where the walk counted solutions.
+    no witness where the walk counted solutions, and ``ValueError`` when
+    ``n_max`` is below 1.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     counts: list[tuple[int, int]] = []
     smallest: int | None = None
     for n in range(1, n_max + 1):

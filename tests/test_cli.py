@@ -206,6 +206,68 @@ class TestTable:
         assert code == 1 and "need --genus" in err
 
 
+class TestTableScan:
+    GRID = ("table", "--max-genus", "2", "--max-punctures", "4", "--cap-n", "6")
+
+    def test_reports_exhausted_budget(self, capsys):
+        code, out, err = run_cli(capsys, *self.GRID, "--max-seconds", "0")
+        lines = out.splitlines()
+        assert (code, err) == (3, "")
+        assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
+        # Searches under 256 nodes never read the clock, so small surfaces still finish.
+        assert "S_1,0: n1:2  [minimum 1 confirmed]" in lines
+        assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == [
+            "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,3", "S_2,4",
+        ]
+        assert lines[-1] == "6 surface(s) ran out of budget"
+
+    def test_single_cell_confirmed(self, capsys):
+        assert run_cli(capsys, "table", "--genus", "2", "--punctures", "3", "--cap-n", "5") == (0, (
+            "S_2,3: n1:0 n2:0 n3:0 n4:0 n5:2300  [minimum 5 confirmed]\n"
+            "all surfaces agree with the closed form\n"
+        ), "")
+
+    def test_cells_above_the_cap_are_probed_below_it(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--max-genus", "3", "--max-punctures", "0", "--cap-n", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "S_0,0: n1:0 n2:0  [none expected, none found]",
+            "S_1,0: n1:2  [minimum 1 confirmed]",
+            "S_2,0: n1:0 n2:0  [empty below cap (closed form 4)]",
+            "S_3,0: n1:0 n2:0  [empty below cap (closed form 5)]",
+            "all surfaces agree with the closed form",
+        ]
+
+    def test_contradiction_exits_2(self, capsys, monkeypatch):
+        import fillperm.tables as tables
+
+        real = tables.shift_classes
+
+        def missing_n1(genus, punctures, n, *budgets):  # a walk that loses the torus's one-crossing pairs
+            return (0, 0, 0) if n == 1 else real(genus, punctures, n, *budgets)
+
+        monkeypatch.setattr(tables, "shift_classes", missing_n1)
+        code, out, err = run_cli(capsys, "table", "--max-genus", "1", "--max-punctures", "0", "--cap-n", "2")
+        assert (code, err) == (2, "")
+        assert out.splitlines()[1:] == [
+            "S_1,0: CONTRADICTION: search minimum None != closed form 1 for genus 1, punctures 0",
+            "1 contradiction(s) found",
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-seconds", "-1"), "max_seconds must be non-negative"),
+        (("--max-seconds", "nan"), "max_seconds must be non-negative"),
+        (("--max-genus", "-1"), "--max-genus and --max-punctures must be non-negative"),
+        (("--max-punctures", "-1"), "--max-genus and --max-punctures must be non-negative"),
+        (("--cap-n", "-1"), "n_max must be at least 1, got -1"),
+        (("--cap-n", "0"), "n_max must be at least 1, got 0"),
+    ], ids=["max-seconds", "nan-seconds", "max-genus", "max-punctures", "cap-n", "zero-cap-n"])
+    def test_rejects_bad_arguments(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *self.GRID, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
+
 class TestExportSvg:
     def test_writes_parseable_svg(self, capsys, tmp_path):
         out_path = tmp_path / "surface.svg"

@@ -13,38 +13,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SPANS = SCRIPTS.parent / "perfbench" / "spans.py"
 
 
-def test_minimality_scan_reports_exhausted_budget(checkout_on_pythonpath):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "minimality_scan.py"), "--max-seconds", "0"],
-        capture_output=True, text=True,
-    )
-    lines = proc.stdout.splitlines()
-    assert (proc.returncode, proc.stderr) == (3, "")
-    assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
-    # Searches under 256 nodes never read the clock, so small surfaces still finish.
-    assert "S_1,0: n1:2  [minimum 1 confirmed" in proc.stdout
-    assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == [
-        "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,3", "S_2,4",
-    ]
-    assert lines[-1] == "6 surface(s) ran out of budget"
-
-
-@pytest.mark.parametrize("argv", [
-    ("--max-seconds", "-1"),
-    ("--max-seconds", "nan"),
-    ("--max-genus", "-1"),
-    ("--max-punctures", "-1"),
-    ("--cap-n", "-1"),
-    ("--cap-n", "0"),
-])
-def test_minimality_scan_rejects_bad_arguments(checkout_on_pythonpath, argv):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "minimality_scan.py"), *argv], capture_output=True, text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"error: {argv[0]}" in proc.stderr and "Traceback" not in proc.stderr
-
-
 def test_genus2_odd_punctures_certifies_every_cell(checkout_on_pythonpath):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "genus2_odd_punctures.py"), "--max-punctures", "13"],

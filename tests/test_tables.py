@@ -95,12 +95,17 @@ class TestCrossValidation:
         [(g, p, 5) for g in range(4) for p in range(7)] + [(0, p, 6) for p in range(4)],
     )
     def test_counts_equal_the_unpruned_raw_counts(self, genus, punctures, n_max):
-        # cross_validate walks one solution per second-curve basepoint-shift
-        # orbit and multiplies by n; the full search must see the same totals.
+        # cross_validate walks one crossing sequence per basepoint-shift class
+        # and adds n * period per class; the full search must see the same totals.
         cv = cross_validate(genus, punctures, n_max=n_max)
         assert [n for n, _ in cv.counts] == list(range(1, n_max + 1))
         for n, count in cv.counts:
             assert count == enumerate_solutions(SearchQuery(genus, punctures, n)).raw_count
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            cross_validate(2, 3, n_max)
 
     def test_witness_comes_from_the_propagation_search(self):
         cv = cross_validate(1, 0, n_max=3)

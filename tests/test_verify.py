@@ -301,7 +301,7 @@ def claimed_instances(draw):
             images[i], images[j] = images[j], images[i]
     faces, bigons = _kernel.faces((0, *images))
     own = draw(st.booleans())
-    genus = (n + 2 - faces) // 2 if own else draw(st.integers(0, 6))
+    genus = max(0, (n + 2 - faces) // 2) if own else draw(st.integers(0, 6))  # too many faces claim genus 0
     punctures = draw(st.integers(bigons, faces)) if own else draw(st.integers(0, 14))
     return Permutation(images), genus, punctures, own and kind == "crossings"
 
