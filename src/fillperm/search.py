@@ -39,11 +39,15 @@ __all__ = [
 
 
 class SearchLimitError(Exception):
-    """A search exceeded its node or time budget."""
+    """A search exceeded its node, time or recursion-depth budget."""
 
 
 class _StopSearch(Exception):
     pass
+
+
+# Both walks recurse once per placed crossing or symbol, so a large n can outgrow the interpreter's stack.
+_DEPTH_EXHAUSTED = "depth budget exhausted: n = {n} recurses past the interpreter's recursion limit"
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,8 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
         extend(1, 0, 0, 0)
     except _StopSearch:
         pass
+    except RecursionError:
+        raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
 
     raw.sort(key=lambda p: p.images)
     solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
@@ -253,7 +259,7 @@ def shift_classes(
     ``enumerate_solutions`` prunes on face overflow, bigon overflow and
     premature closure.  Every representative passes the public
     ``validate``.  A node is one placed crossing; the budgets are those
-    of :class:`SearchQuery`.
+    of :class:`SearchQuery`, and the walk recurses once per crossing.
     """
     SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
     deadline = time.perf_counter() + max_seconds
@@ -268,8 +274,6 @@ def shift_classes(
     w = [0] * n
     eps = [False] * n
     x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
-    # Each crossing (k, c, right) fixes four images of sigma; chains[k][c][right] lists them.
-    chains = [[(_kernel.corners(k, c, False, n), _kernel.corners(k, c, True, n)) for c in range(n)] for k in range(n)]
     classes = raw = nodes = 0
 
     def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int) -> None:
@@ -279,7 +283,7 @@ def shift_classes(
             raise SearchLimitError(f"node budget {max_nodes} exhausted")
         if nodes % 256 == 0 and time.perf_counter() > deadline:
             raise SearchLimitError(f"time budget {max_seconds}s exhausted")
-        chain = chains[k][c][right]
+        chain = _kernel.corners(k, c, right, n)  # the four images of sigma this crossing fixes
         # Each step closes a face when b starts a's own segment, else joins the two segments.
         for a, b in chain:
             s = head[a]
@@ -332,6 +336,9 @@ def shift_classes(
                 place(k, c, right, faces, bigons, q)
             free[c] = True
 
-    for right in (False, True):
-        place(0, 0, right, 0, 0, 1)
+    try:
+        for right in (False, True):
+            place(0, 0, right, 0, 0, 1)
+    except RecursionError:
+        raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
     return classes, raw, nodes

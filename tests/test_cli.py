@@ -342,6 +342,31 @@ def test_typed_size_above_the_cap_exits_1_before_allocating(capsys, argv):
     assert peak < 2**20
 
 
+# Every n below 2g - 1 is empty at once; the walk at n = 2g - 1 then runs out of
+# time or of recursion depth.  It allocates O(n): a table of all 2n^2 corner
+# chains would take about 90 MB at g = 150, and exhaust memory at g = 10000.
+@pytest.mark.parametrize("genus", [150, 10_000])
+def test_table_scan_at_a_large_genus_stops_on_a_budget_in_linear_memory(capsys, genus):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "table", "--genus", str(genus), "--punctures", "0", "--cap-n", "200000", "--max-seconds", "1"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (3, "")
+    assert out.startswith(f"S_{genus},0: BUDGET: ")
+    assert out.splitlines()[-1] == "1 surface(s) ran out of budget"
+    assert peak < 2**24
+
+
+def test_search_deeper_than_the_recursion_limit_exits_3(capsys):
+    code, out, err = run_cli(capsys, "search", "--genus", "10000", "--punctures", "0", "--n", "19999")
+    assert (code, out) == (3, "")
+    assert err == "error: depth budget exhausted: n = 19999 recurses past the interpreter's recursion limit\n"
+
+
 # Cycle text over symbols 0..99 only: integers never touch, so no larger number can form.
 _cycle_text = st.one_of(
     st.sampled_from([GENUS2_BASE, TORUS_BASE, SPHERE_FOUR_BASE]),
