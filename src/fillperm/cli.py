@@ -12,7 +12,7 @@ import sys
 from . import _kernel
 from .moves import extend_to
 from .permutations import MAX_DEGREE, Permutation
-from .search import SearchLimitError, SearchQuery, enumerate_solutions
+from .search import SearchLimitError, SearchQuery, enumerate_solutions, shift_classes
 from .svg import render_svg
 from .tables import CrossValidationError, NoFillingPairError, cross_validate, min_intersection
 from .verify import FillingInstance, glue, validate
@@ -89,12 +89,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
         max_seconds=args.max_seconds,
     )
     result = enumerate_solutions(query)
-    for perm in result.solutions:
-        print(perm)
     if args.dedup:
         classes = len(result.solutions)
+    elif args.limit is None or result.raw_count < args.limit:
+        # The whole cell: the necklace walk counts its classes and checks the raw count,
+        # within what is left of the time budget, before anything is printed.
+        left = max(0.0, args.max_seconds - result.wall_time)
+        classes, raw, _ = shift_classes(args.genus, args.punctures, args.n, args.max_nodes, left)
+        if raw != result.raw_count:
+            raise RuntimeError(f"internal inconsistency: search found {result.raw_count} solutions, walk {raw}")
     else:
+        # A truncated prefix is not closed under the basepoint shifts, so only its own classes count.
         classes = len({tuple(_kernel.canonical((0, *p.images), args.n)) for p in result.solutions})
+    for perm in result.solutions:
+        print(perm)
     print(f"count={result.raw_count} dedup={classes} nodes={result.nodes_explored}")
     return EXIT_OK
 
@@ -126,6 +134,8 @@ def _closed_form(genus: int, punctures: int) -> int | None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if not args.max_seconds >= 0:  # also rejects NaN, in both modes, though only --cap-n spends it
+        raise ValueError(f"--max-seconds must be non-negative, got {args.max_seconds}")
     grid_flags = (args.max_genus is not None, args.max_punctures is not None)
     if any(grid_flags):
         if not all(grid_flags):

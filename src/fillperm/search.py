@@ -103,7 +103,9 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
 
     Deterministic: symbols are filled in increasing order and candidate
     values tried in increasing order, so repeated runs agree byte for
-    byte.  Every solution is re-validated before being reported.
+    byte.  Forced images land only on symbols above the one chosen, so
+    solutions come out in lexicographic order.  Every solution is
+    re-validated before being reported.
     """
     if query.naive:
         return naive_enumerate(query)
@@ -124,24 +126,15 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     head = list(range(degree + 1))
     tail = list(range(degree + 1))
     steps = [0] * (degree + 1)
+    genus, punctures, limit, max_nodes = query.genus, query.punctures, query.limit, query.max_nodes
     raw: list[Permutation] = []
     nodes = 0
 
     def extend(pos: int, closed: int, closed_bigons: int, assigned: int) -> None:
         nonlocal nodes
         j = pos
-        while j <= degree and sigma[j]:
+        while sigma[j]:  # ends in range: extend runs only while some symbol at or above pos is unassigned
             j += 1
-        if j > degree:
-            # Every face is closed here, so `closed` is the face count.
-            if closed == target_faces:
-                perm = Permutation(sigma[1:])
-                if not validate(FillingInstance(perm, query.genus, query.punctures)).valid:
-                    raise RuntimeError("internal inconsistency: search produced an invalid candidate")
-                raw.append(perm)
-                if query.limit is not None and len(raw) >= query.limit:
-                    raise _StopSearch
-            return
         if j % 2:
             values = range(2, degree + 1, 2)
         else:
@@ -150,8 +143,8 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
             if used[k]:
                 continue
             nodes += 1
-            if nodes > query.max_nodes:
-                raise SearchLimitError(f"node budget {query.max_nodes} exhausted")
+            if nodes > max_nodes:
+                raise SearchLimitError(f"node budget {max_nodes} exhausted")
             if nodes % 256 == 0 and time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
             # Chase sigma(rev(b)) = adv(a) around its closed chain of four.
@@ -180,10 +173,18 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                     ok = True
                     break
             done = assigned + len(placed)
-            if ok and total <= target_faces and bigons <= query.punctures and (
-                total < target_faces or done == degree
-            ):
-                extend(j + 1, total, bigons, done)
+            if ok and total <= target_faces and bigons <= punctures:
+                if done == degree:
+                    # Every face is closed here, so `total` is the face count.
+                    if total == target_faces:
+                        perm = Permutation(sigma[1:])
+                        if not validate(FillingInstance(perm, genus, punctures)).valid:
+                            raise RuntimeError("internal inconsistency: search produced an invalid candidate")
+                        raw.append(perm)
+                        if limit is not None and len(raw) >= limit:
+                            raise _StopSearch
+                elif total < target_faces:
+                    extend(j + 1, total, bigons, done)
             # Undo newest first; a join left head[a] and tail[b] untouched.
             for a in reversed(placed):
                 b = sigma[a]
@@ -201,7 +202,6 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     except RecursionError:
         raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
 
-    raw.sort(key=lambda p: p.images)
     solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
     return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)
 

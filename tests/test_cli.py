@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from fillperm.certificates import GENUS2_BASE, SPHERE_FOUR_BASE, TORUS_BASE
 from fillperm.cli import main
-from fillperm.permutations import MAX_DEGREE
+from fillperm.permutations import MAX_DEGREE, Permutation
+from fillperm.search import canonical_form, shift_classes
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,57 @@ class TestSearch:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    WALK_CELLS = {
+        "propagation": [(g, p, n, ()) for g in range(3) for p in range(4) for n in range(1, 5)]
+        + [(1, 3, 5, ()), (2, 3, 5, ()), (1, 2, 4, ("--limit", "177"))],
+        "naive": [(0, 0, 2, ()), (0, 4, 2, ()), (1, 0, 1, ()), (1, 0, 2, ()), (1, 2, 2, ("--limit", "5"))],
+    }
+
+    @pytest.mark.parametrize("engine", sorted(WALK_CELLS))
+    def test_complete_search_counts_classes_with_the_walk(self, capsys, monkeypatch, engine):
+        import fillperm._kernel as kernel
+
+        real, calls = kernel.canonical, []
+        monkeypatch.setattr(kernel, "canonical", lambda *a: calls.append(a) or real(*a))
+        for g, p, n, extra in self.WALK_CELLS[engine]:
+            argv = ("search", "--genus", str(g), "--punctures", str(p), "--n", str(n), *extra)
+            if engine == "naive":
+                argv += ("--naive",)
+            calls.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, calls) == (0, [])
+            _, dedup_out, _ = run_cli(capsys, *argv, "--dedup")
+            representatives = dedup_out.splitlines()[:-1]
+            assert out.splitlines()[-1] == dedup_out.splitlines()[-1]
+            assert out.splitlines()[-1].split()[1] == f"dedup={len(representatives)}"
+
+    def test_truncating_limit_counts_classes_among_printed_solutions(self, capsys):
+        # S_1,0 at n = 4 has 16 solutions in 4 classes; its first 7 meet only some of them.
+        code, out, _ = run_cli(capsys, "search", "--genus", "1", "--punctures", "0", "--n", "4", "--limit", "7")
+        lines = out.splitlines()
+        classes = {canonical_form(Permutation.parse(line)) for line in lines[:-1]}
+        assert (code, len(lines)) == (0, 8)
+        assert lines[-1].startswith(f"count=7 dedup={len(classes)} ")
+        assert len(classes) != shift_classes(1, 0, 4)[0]
+
+    def test_walk_disagreeing_on_the_raw_count_raises(self, capsys, monkeypatch):
+        import fillperm.cli as cli
+
+        budgets = []
+
+        def one_too_many(genus, punctures, n, max_nodes, max_seconds):
+            budgets.append((max_nodes, max_seconds))
+            classes, raw, nodes = shift_classes(genus, punctures, n, max_nodes, max_seconds)
+            return classes, raw + 1, nodes
+
+        monkeypatch.setattr(cli, "shift_classes", one_too_many)
+        argv = ["search", "--genus", "1", "--punctures", "2", "--n", "3", "--max-nodes", "500", "--max-seconds", "30"]
+        with pytest.raises(RuntimeError, match="internal inconsistency: search found 48 solutions, walk 49"):
+            main(argv)
+        assert capsys.readouterr().out == ""  # the check runs before any solution is printed
+        [(max_nodes, max_seconds)] = budgets
+        assert max_nodes == 500 and 0 <= max_seconds < 30
+
 
 class TestExtend:
     def test_torus_to_two_punctures(self, capsys):
@@ -255,8 +307,8 @@ class TestTableScan:
         ]
 
     @pytest.mark.parametrize("argv, message", [
-        (("--max-seconds", "-1"), "max_seconds must be non-negative"),
-        (("--max-seconds", "nan"), "max_seconds must be non-negative"),
+        (("--max-seconds", "-1"), "--max-seconds must be non-negative, got -1.0"),
+        (("--max-seconds", "nan"), "--max-seconds must be non-negative, got nan"),
         (("--max-genus", "-1"), "--max-genus and --max-punctures must be non-negative"),
         (("--max-punctures", "-1"), "--max-genus and --max-punctures must be non-negative"),
         (("--cap-n", "-1"), "n_max must be at least 1, got -1"),
@@ -316,7 +368,11 @@ def test_negative_punctures_exits_1(capsys, tmp_path, command):
     ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-nodes", "-5"),
     ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-seconds", "-1"),
     ("search", "--genus", "1", "--punctures", "0", "--n", "1", "--max-seconds", "nan"),
-], ids=["target-p", "max-genus", "max-punctures", "max-nodes", "max-seconds", "nan-seconds"])
+    # Only --cap-n spends the table's budget, but a bad one is refused in both modes.
+    ("table", "--genus", "1", "--punctures", "0", "--max-seconds", "-1"),
+    ("table", "--genus", "1", "--punctures", "0", "--max-seconds", "nan"),
+], ids=["target-p", "max-genus", "max-punctures", "max-nodes", "max-seconds", "nan-seconds",
+        "table-max-seconds", "table-nan-seconds"])
 def test_negative_count_or_budget_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
