@@ -12,7 +12,7 @@ is not certified.
 import argparse
 import time
 
-from fillperm import FillingInstance, Permutation, SurgerySite, double_bigon, validate
+from fillperm import FillingInstance, Permutation, double_bigon, validate
 from fillperm.certificates import GENUS2_BASE
 
 
@@ -51,7 +51,7 @@ def main() -> int:
         if current.punctures >= args.max_punctures:
             return 0 if all_ok else 1
         t0 = time.perf_counter()
-        current = double_bigon(current, SurgerySite(1))
+        current = double_bigon(current, 1)
         millis = (time.perf_counter() - t0) * 1000
 
 

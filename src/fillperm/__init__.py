@@ -2,7 +2,7 @@
 certificates for minimally intersecting curve pairs on punctured surfaces."""
 
 from .arcs import curve_advance, reversal_pairing
-from .moves import SurgerySite, available_sites, double_bigon, extend_to
+from .moves import available_sites, double_bigon, extend_to
 from .permutations import Permutation
 from .search import (
     SearchLimitError,
@@ -43,7 +43,6 @@ __all__ = [
     "SearchLimitError",
     "SearchQuery",
     "SearchResult",
-    "SurgerySite",
     "ValidationReport",
     "available_sites",
     "canonical_form",

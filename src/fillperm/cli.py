@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import _kernel
 from .moves import extend_to
 from .permutations import MAX_DEGREE, Permutation
-from .search import SearchLimitError, SearchQuery, enumerate_solutions, shift_classes
+from .search import SearchLimitError, SearchQuery, enumerate_solutions, naive_enumerate, shift_classes
 from .svg import render_svg
 from .tables import CrossValidationError, NoFillingPairError, cross_validate, min_intersection
 from .verify import FillingInstance, glue, validate
@@ -79,29 +80,30 @@ def _cmd_glue(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     query = SearchQuery(
-        genus=args.genus,
-        punctures=args.punctures,
-        n=args.n,
-        dedup=args.dedup,
-        limit=args.limit,
-        naive=args.naive,
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
+        args.genus, args.punctures, args.n, limit=args.limit, max_nodes=args.max_nodes, max_seconds=args.max_seconds
     )
-    result = enumerate_solutions(query)
-    if args.dedup:
-        classes = len(result.solutions)
-    elif args.limit is None or result.raw_count < args.limit:
-        # The whole cell: the necklace walk counts its classes and checks the raw count,
-        # within what is left of the time budget, before anything is printed.
-        left = max(0.0, args.max_seconds - result.wall_time)
+    result = (naive_enumerate if args.naive else enumerate_solutions)(query)
+    solutions = result.solutions
+    left = max(0.0, args.max_seconds - result.wall_time)  # what the search left of the time budget
+    if args.dedup or args.limit is not None and result.raw_count >= args.limit:
+        # --dedup prints one canonical form per class; a prefix that --limit cut short is not
+        # closed under the basepoint shifts, so only its own classes count.
+        deadline = time.perf_counter() + left
+        forms = set()
+        for perm in solutions:
+            if time.perf_counter() > deadline:
+                raise SearchLimitError(f"time budget {args.max_seconds}s exhausted")
+            forms.add(tuple(_kernel.canonical((0, *perm.images), args.n)[1:]))
+        classes = len(forms)
+        if args.dedup:
+            solutions = tuple(map(Permutation, sorted(forms)))
+    else:
+        # The whole cell: the necklace walk counts its classes and checks the raw count
+        # before anything is printed.
         classes, raw, _ = shift_classes(args.genus, args.punctures, args.n, args.max_nodes, left)
         if raw != result.raw_count:
             raise RuntimeError(f"internal inconsistency: search found {result.raw_count} solutions, walk {raw}")
-    else:
-        # A truncated prefix is not closed under the basepoint shifts, so only its own classes count.
-        classes = len({tuple(_kernel.canonical((0, *p.images), args.n)) for p in result.solutions})
-    for perm in result.solutions:
+    for perm in solutions:
         print(perm)
     print(f"count={result.raw_count} dedup={classes} nodes={result.nodes_explored}")
     return EXIT_OK

@@ -13,27 +13,25 @@ eps after k.  The output is re-validated rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernel
 from .permutations import Permutation
-from .verify import FillingInstance, validate, vertex_classes
+from .verify import FillingInstance, validate
 
-__all__ = ["SurgerySite", "available_sites", "double_bigon", "extend_to"]
-
-
-@dataclass(frozen=True)
-class SurgerySite:
-    """A vertex class, identified by its smallest corner symbol."""
-
-    vertex_class: int
+__all__ = ["available_sites", "double_bigon", "extend_to"]
 
 
-def available_sites(instance: FillingInstance) -> tuple[SurgerySite, ...]:
-    return tuple(SurgerySite(c[0]) for c in vertex_classes(instance.sigma))
+def _site(k: int, c: int) -> int:
+    """Label of crossing k at position c of the second curve: its smallest corner, incoming side 2k+1 or 2c+2."""
+    return min(2 * k + 1, 2 * c + 2)
 
 
-def double_bigon(instance: FillingInstance, site: SurgerySite) -> FillingInstance:
+def available_sites(instance: FillingInstance) -> tuple[int, ...]:
+    """The vertex classes of a valid instance, each labeled by its smallest corner symbol, in increasing order."""
+    w, _ = _kernel.crossings((0, *instance.sigma.images), instance.n)
+    return tuple(sorted(_site(k, c) for k, c in enumerate(w)))
+
+
+def double_bigon(instance: FillingInstance, site: int) -> FillingInstance:
     """Apply the move at ``site`` and return the enlarged certificate.
 
     Raises ValueError for an invalid input instance or a site that names
@@ -47,13 +45,12 @@ def double_bigon(instance: FillingInstance, site: SurgerySite) -> FillingInstanc
     return _splice(instance, site)
 
 
-def _splice(instance: FillingInstance, site: SurgerySite) -> FillingInstance:
+def _splice(instance: FillingInstance, site: int) -> FillingInstance:
     """The move on an instance already known to be valid; the output is still validated."""
     w, eps = _kernel.crossings((0, *instance.sigma.images), instance.n)
-    # The smallest corner at crossing k is one of its incoming sides, 2k+1 or 2w[k]+2.
-    k = next((k for k, c in enumerate(w) if min(2 * k + 1, 2 * c + 2) == site.vertex_class), None)
+    k = next((k for k, c in enumerate(w) if _site(k, c) == site), None)
     if k is None:
-        raise ValueError(f"no vertex class is labeled {site.vertex_class}")
+        raise ValueError(f"no vertex class is labeled {site}")
     # Two new crossings follow crossing k along both curves, of opposite then equal handedness.
     c = w[k]
     w = [x + 2 if x > c else x for x in w]
@@ -82,5 +79,5 @@ def extend_to(instance: FillingInstance, target_punctures: int) -> FillingInstan
     # Each step's output was validated by the step itself, so only the first input is checked here.
     current = instance
     while current.punctures < target_punctures:
-        current = _splice(current, SurgerySite(1))
+        current = _splice(current, 1)
     return current

@@ -8,8 +8,9 @@ path segments of the partial sigma, each known by its start, end and
 step count: an assignment either closes a face of known length or joins
 two segments, in constant time, and is undone the same way.  Every
 solution still passes the public ``validate``, which computes the nine
-checks' numbers and builds no report text unless it is read.  The time
-budget covers the search and dedup.  A brute-force oracle over the full
+checks' numbers and builds no report text unless it is read.  Both
+engines return every solution they find, and ``fillperm search`` sorts
+them into basepoint-shift classes.  A brute-force oracle over the full
 symmetric group covers degrees up to 8 and exists so the two routes can
 be checked against each other.
 
@@ -55,9 +56,7 @@ class SearchQuery:
     genus: int
     punctures: int
     n: int
-    dedup: bool = False
     limit: int | None = None
-    naive: bool = False
     max_nodes: int = 10**9
     max_seconds: float = 600.0
 
@@ -89,15 +88,6 @@ def canonical_form(sigma: Permutation) -> Permutation:
     return Permutation(_kernel.canonical((0, *sigma.images), sigma.degree // 4)[1:])
 
 
-def _deduplicate(raw: list[Permutation], query: SearchQuery, deadline: float) -> tuple[Permutation, ...]:
-    classes = set()
-    for s in raw:
-        if time.perf_counter() > deadline:
-            raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
-        classes.add(canonical_form(s))
-    return tuple(sorted(classes, key=lambda p: p.images))
-
-
 def enumerate_solutions(query: SearchQuery) -> SearchResult:
     """All filling permutations for (genus, punctures, n).
 
@@ -107,8 +97,6 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     solutions come out in lexicographic order.  Every solution is
     re-validated before being reported.
     """
-    if query.naive:
-        return naive_enumerate(query)
     start = time.perf_counter()
     deadline = start + query.max_seconds
     n = query.n
@@ -202,8 +190,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     except RecursionError:
         raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
 
-    solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
-    return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)
+    return SearchResult(tuple(raw), len(raw), nodes, time.perf_counter() - start)
 
 
 def naive_enumerate(query: SearchQuery) -> SearchResult:
@@ -236,8 +223,7 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
             raw.append(perm)
             if len(raw) == query.limit:
                 break
-    solutions = _deduplicate(raw, query, deadline) if query.dedup else tuple(raw)
-    return SearchResult(solutions, len(raw), nodes, time.perf_counter() - start)
+    return SearchResult(tuple(raw), len(raw), nodes, time.perf_counter() - start)
 
 
 def shift_classes(

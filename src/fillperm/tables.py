@@ -53,13 +53,6 @@ class CrossValidation:
     expected: int | None
     witness: Permutation | None
 
-    def lines(self) -> list[str]:
-        out = [f"genus={self.genus} punctures={self.punctures}"]
-        out.extend(f"n={n}: {count} solutions" for n, count in self.counts)
-        out.append(f"smallest_nonempty={self.smallest_nonempty}")
-        out.append(f"closed_form={self.expected}")
-        return out
-
 
 def cross_validate(
     genus: int,

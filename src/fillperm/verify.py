@@ -4,8 +4,8 @@ A filling permutation on 4n symbols records, for every directed arc, which
 side comes next when walking clockwise around each complementary polygon
 of a two-curve system with n crossings.  ``validate`` reports every
 structural condition separately so a failing certificate shows exactly
-where it breaks; ``glue`` rebuilds the polygon decomposition with edge
-pairing, vertex classes, Euler characteristic and puncture placement.
+where it breaks; ``glue`` rebuilds the polygon decomposition with its
+Euler characteristic and puncture placement.
 """
 
 from __future__ import annotations
@@ -176,15 +176,14 @@ class GluedSurface:
 
     n: int
     face_cycles: tuple[tuple[int, ...], ...]
-    edge_pairing: tuple[tuple[int, int], ...]
-    vertex_classes: tuple[tuple[int, ...], ...]
     euler_characteristic: int
     genus: int
     puncture_assignment: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertex_classes)
+        """One vertex per crossing: on the filling equation every corner orbit is a 4-cycle (see validate)."""
+        return self.n
 
     @property
     def edge_count(self) -> int:
@@ -220,11 +219,7 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
         raise ValueError("gluing needs a parity-reversing permutation satisfying the filling equation")
 
     face_cycles = _kernel.cycles(s)
-    classes = _kernel.cycles(_kernel.corner_rotation(s, rev))
-    if any(len(c) != 4 for c in classes):  # unreachable: on the equation c² = rev∘adv (see validate)
-        raise RuntimeError("internal inconsistency: a corner orbit is not a 4-cycle")
-
-    chi = len(classes) - 2 * n + len(face_cycles)
+    chi = len(face_cycles) - n  # n vertices and 2n edges, as validate derives
     if (2 - chi) % 2:  # unreachable: the gluing is orientable and, by validate's lemma, connected
         raise RuntimeError("internal inconsistency: odd Euler characteristic defect")
     genus = (2 - chi) // 2
@@ -240,12 +235,9 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
         if spare and not assignment[i]:
             assignment[i], spare = 1, spare - 1
 
-    pairing = tuple((j, rev[j]) for j in range(1, 2 * n + 1))
     return GluedSurface(
         n=n,
         face_cycles=face_cycles,
-        edge_pairing=pairing,
-        vertex_classes=classes,
         euler_characteristic=chi,
         genus=genus,
         puncture_assignment=tuple(assignment),

@@ -3,6 +3,7 @@ reference helpers the tests check the package against, and the environment
 the command line tests run `fillperm` in."""
 
 import os
+import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fillperm
-from fillperm import FillingInstance, Permutation, _kernel
+from fillperm import FillingInstance, Permutation, _kernel, available_sites, double_bigon
 from fillperm.certificates import GENUS2_BASE, SPHERE_FOUR_BASE, TORUS_BASE
 
 
@@ -33,6 +34,22 @@ def torus_sigma() -> Permutation:
 @pytest.fixture(scope="session")
 def sphere4_sigma() -> Permutation:
     return Permutation.parse(SPHERE_FOUR_BASE)
+
+
+def ladder_instances(seed: int = 1, steps: int = 74) -> list[FillingInstance]:
+    """The seeded double-bigon ladder from the genus-2 certificate, S_2,5 to S_2,151 by default.
+
+    Each step draws three numbers and uses the first to pick a site, as the benchmark's ladder does.
+    """
+    rng = random.Random(seed)
+    current = FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3)
+    out = []
+    for _ in range(steps):
+        site_draw, _, _ = (rng.getrandbits(32) for _ in range(3))
+        sites = available_sites(current)
+        current = double_bigon(current, sites[site_draw % len(sites)])
+        out.append(current)
+    return out
 
 
 def small_parameter_grid() -> list[tuple[int, int, int]]:

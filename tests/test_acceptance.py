@@ -14,7 +14,6 @@ from fillperm import (
     FillingInstance,
     Permutation,
     SearchQuery,
-    SurgerySite,
     double_bigon,
     enumerate_solutions,
     extend_to,
@@ -87,7 +86,7 @@ def test_euler_bookkeeping(genus2_sigma):
         assert surf.face_count == 3
         assert surf.euler_characteristic == -2
         assert surf.genus == 2
-        assert all(len(c) == 4 for c in surf.vertex_classes)
+        assert all(len(c) == 4 for c in vertex_classes(genus2_sigma))
         report = validate(FillingInstance(genus2_sigma, 2, 3))
         assert next(c for c in report.checks if c.name == "connectivity").passed
 
@@ -97,7 +96,7 @@ def test_odd_puncture_ladder_certifies_upper_bound(genus2_instance):
         current = genus2_instance
         for target in (5, 7, 9, 11, 13):
             step = min(
-                _timed(lambda: double_bigon(current, SurgerySite(1))) for _ in range(3)
+                _timed(lambda: double_bigon(current, 1)) for _ in range(3)
             )
             assert step < 0.010, f"one move took {step * 1e3:.2f} ms at n={current.n}"
             current = extend_to(current, target)

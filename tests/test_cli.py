@@ -3,9 +3,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import subprocess
 import sys
 import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -22,6 +24,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stub_clock(monkeypatch):
+    """Make every clock read in the search and the command line one second later than the last."""
+    import fillperm.cli
+    import fillperm.search
+
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    monkeypatch.setattr(fillperm.search, "time", clock)
+    monkeypatch.setattr(fillperm.cli, "time", clock)
 
 
 class TestVerify:
@@ -189,6 +202,27 @@ class TestSearch:
         assert (code, len(lines)) == (0, 8)
         assert lines[-1].startswith(f"count=7 dedup={len(classes)} ")
         assert len(classes) != shift_classes(1, 0, 4)[0]
+
+    # S_1,2 at n = 3: 48 solutions in 78 nodes, under the 256 between the search's own clock reads.
+    BUDGET_ARGV = ("search", "--genus", "1", "--punctures", "2", "--n", "3")
+
+    def test_time_budget_covers_dedup(self, capsys, monkeypatch):
+        stub_clock(monkeypatch)
+        code, out, _ = run_cli(capsys, *self.BUDGET_ARGV, "--max-seconds", "5")
+        assert (code, out.splitlines()[-1]) == (0, "count=48 dedup=8 nodes=78")
+        # The search reads 1 s; canonicalising reads the clock once per solution and runs out.
+        code, out, err = run_cli(capsys, *self.BUDGET_ARGV, "--max-seconds", "5", "--dedup")
+        assert (code, out) == (3, "")
+        assert "time budget 5.0s exhausted" in err
+
+    def test_time_budget_covers_a_truncated_search(self, capsys, monkeypatch):
+        # A --limit that cuts the search short counts classes by canonicalising, under the same budget.
+        stub_clock(monkeypatch)
+        code, out, err = run_cli(capsys, *self.BUDGET_ARGV, "--limit", "20", "--max-seconds", "5")
+        assert (code, out) == (3, "")
+        assert "time budget 5.0s exhausted" in err
+        code, out, _ = run_cli(capsys, *self.BUDGET_ARGV, "--limit", "20", "--max-seconds", "100")
+        assert (code, out.splitlines()[-1]) == (0, "count=20 dedup=6 nodes=33")
 
     def test_walk_disagreeing_on_the_raw_count_raises(self, capsys, monkeypatch):
         import fillperm.cli as cli

@@ -9,33 +9,33 @@ from fillperm import (
     FillingInstance,
     Permutation,
     SearchQuery,
-    SurgerySite,
     available_sites,
     double_bigon,
     enumerate_solutions,
     extend_to,
     validate,
+    vertex_classes,
 )
 from fillperm._kernel import crossings, from_crossings
 
-from conftest import cycles_of
+from conftest import cycles_of, ladder_instances
 
 
 class TestTorusStep:
     """(1,2,3,4) on the square torus is small enough to splice by hand."""
 
     def test_hand_worked_result(self, torus_sigma):
-        out = double_bigon(FillingInstance(torus_sigma, 1, 0), SurgerySite(1))
+        out = double_bigon(FillingInstance(torus_sigma, 1, 0), 1)
         assert str(out.sigma) == "(1,4,5,2,7,12,9,8)(3,10)(6,11)"
         assert (out.genus, out.punctures, out.n) == (1, 2, 3)
 
     def test_result_revalidates(self, torus_sigma):
-        out = double_bigon(FillingInstance(torus_sigma, 1, 0), SurgerySite(1))
+        out = double_bigon(FillingInstance(torus_sigma, 1, 0), 1)
         assert validate(out).valid
         assert validate(out).bigons == 2
 
     def test_single_site_on_the_torus(self, torus_sigma):
-        assert available_sites(FillingInstance(torus_sigma, 1, 0)) == (SurgerySite(1),)
+        assert available_sites(FillingInstance(torus_sigma, 1, 0)) == (1,)
 
 
 class TestSphereSites:
@@ -45,7 +45,7 @@ class TestSphereSites:
     def test_both_sites_give_valid_six_puncture_pairs(self, sphere4_sigma):
         inst = FillingInstance(sphere4_sigma, 0, 4)
         sites = available_sites(inst)
-        assert sites == (SurgerySite(1), SurgerySite(2))
+        assert sites == (1, 2)
         results = [double_bigon(inst, s) for s in sites]
         for out in results:
             assert (out.genus, out.punctures, out.n) == (0, 6, 4)
@@ -53,6 +53,25 @@ class TestSphereSites:
             # Two fresh bigons appear; two old ones at the vertex widen.
             assert sorted(map(len, cycles_of(out.sigma))) == [2, 2, 2, 2, 4, 4]
         assert results[0].sigma != results[1].sigma
+
+
+class TestSiteLabels:
+    """Sites come from the crossing sequence: each is its vertex class's smallest corner symbol."""
+
+    def test_every_small_solution(self):
+        count = 0
+        for genus, punctures, n in itertools.product(range(3), range(7), range(1, 6)):
+            for sigma in enumerate_solutions(SearchQuery(genus, punctures, n)).solutions:
+                sites = available_sites(FillingInstance(sigma, genus, punctures))
+                assert sites == tuple(c[0] for c in vertex_classes(sigma))
+                count += 1
+        assert count == 11236
+
+    def test_every_ladder_surface(self):
+        instances = ladder_instances()
+        assert len(instances) == 74
+        for inst in instances:
+            assert available_sites(inst) == tuple(c[0] for c in vertex_classes(inst.sigma))
 
 
 class TestExtendTo:
@@ -93,20 +112,20 @@ class TestExtendTo:
         current = genus2_instance
         for _ in range(5):
             t0 = time.perf_counter()
-            current = double_bigon(current, SurgerySite(1))
+            current = double_bigon(current, 1)
             assert time.perf_counter() - t0 < 0.01
 
 
 class TestRejections:
     def test_invalid_instance(self):
         with pytest.raises(ValueError, match="failing checks"):
-            double_bigon(FillingInstance(Permutation.identity(4), 1, 0), SurgerySite(1))
+            double_bigon(FillingInstance(Permutation.identity(4), 1, 0), 1)
 
     def test_unknown_site(self, torus_sigma):
         # The torus has one vertex class, labeled 1; labels off both ends of 1..4n must not wrap around.
         for label in (0, -1, 2, 3, 4, 5):
             with pytest.raises(ValueError, match="no vertex class"):
-                double_bigon(FillingInstance(torus_sigma, 1, 0), SurgerySite(label))
+                double_bigon(FillingInstance(torus_sigma, 1, 0), label)
 
     def test_extend_requires_valid_instance(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Propagation search and shift-class walk vs. the brute-force oracle, plus symmetry machinery."""
 
 import hashlib
-import types
 
 import pytest
 from hypothesis import given
@@ -23,7 +22,6 @@ from fillperm import _kernel
 from fillperm.cli import main
 from fillperm.permutations import MAX_DEGREE
 from fillperm.search import shift_classes
-import fillperm.search as search_module
 
 from conftest import _symmetry_elements, small_parameter_grid, symmetry_group
 
@@ -145,19 +143,6 @@ class TestBudgets:
         with pytest.raises(SearchLimitError, match="time budget"):
             enumerate_solutions(SearchQuery(2, 3, 5, max_seconds=0.0))
 
-    def test_time_budget_covers_dedup(self, monkeypatch):
-        def run(dedup):
-            # The clock reads 0 at the start and past the budget ever after.
-            ticks = iter([0.0])
-            monkeypatch.setattr(search_module, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks, 10.0)))
-            return enumerate_solutions(SearchQuery(1, 2, 3, dedup=dedup, max_seconds=5.0))
-
-        # Under 256 nodes the search itself never reads the clock, so only dedup can trip it.
-        result = run(dedup=False)
-        assert (result.nodes_explored, result.raw_count) == (78, 48)
-        with pytest.raises(SearchLimitError, match="time budget 5.0s exhausted"):
-            run(dedup=True)
-
     @pytest.mark.parametrize("kwargs", [
         {"genus": -1, "punctures": 0, "n": 1},
         {"genus": 0, "punctures": -1, "n": 1},
@@ -179,10 +164,12 @@ class TestNaive:
         with pytest.raises(SearchLimitError):
             naive_enumerate(SearchQuery(1, 0, 2, **budget))
 
-    def test_naive_flag_routes(self):
-        via_flag = enumerate_solutions(SearchQuery(1, 0, 1, naive=True))
+    def test_naive_flag_routes(self, capsys):
+        # `fillperm search --naive` prints what the oracle returns, and the walk's class count.
+        assert main(["search", "--genus", "1", "--punctures", "0", "--n", "1", "--naive"]) == 0
         direct = naive_enumerate(SearchQuery(1, 0, 1))
-        assert via_flag.solutions == direct.solutions
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [*map(str, direct.solutions), f"count=2 dedup=2 nodes={direct.nodes_explored}"]
 
 
 class TestSymmetry:
@@ -229,9 +216,10 @@ class TestSymmetry:
         conjugates = (sigma.conjugate(e) for e in _symmetry_elements(sigma.degree // 4))
         assert canonical_form(sigma) == min(conjugates, key=lambda p: p.images)
 
-    def test_dedup_counts(self):
-        assert len(enumerate_solutions(SearchQuery(0, 4, 2, dedup=True)).solutions) == 1
-        assert len(enumerate_solutions(SearchQuery(1, 0, 1, dedup=True)).solutions) == 2
+    def test_dedup_counts(self, capsys):
+        for (genus, punctures, n), classes in ((("0", "4", "2"), 1), (("1", "0", "1"), 2)):
+            assert main(["search", "--genus", genus, "--punctures", punctures, "--n", n, "--dedup"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == classes + 1  # the representatives, then the summary
 
 
 class TestShiftClasses:

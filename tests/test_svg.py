@@ -1,7 +1,6 @@
 """SVG export: frozen bytes over a fixed corpus, and the drawing's structure."""
 
 import hashlib
-import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,8 +9,6 @@ from fillperm import (
     FillingInstance,
     Permutation,
     SearchQuery,
-    available_sites,
-    double_bigon,
     enumerate_solutions,
     extend_to,
     glue,
@@ -20,7 +17,7 @@ from fillperm import (
 from fillperm.arcs import label_texts
 from fillperm.certificates import GENUS2_BASE
 
-from conftest import label_of
+from conftest import label_of, ladder_instances
 
 LADDER_SEED = 1
 MORE_LADDER_SEEDS = (2, 3, 4)
@@ -36,16 +33,7 @@ MORE_LADDERS_SHA256 = "affb2d9b93f9b7fba831f0722fc88f8267327af0731a61ec3d6159f14
 
 def ladder_surfaces(seed=LADDER_SEED):
     """The surfaces of the seeded double-bigon ladder from the genus-2 certificate."""
-    rng = random.Random(seed)
-    current = FillingInstance(Permutation.parse(GENUS2_BASE), 2, 3)
-    out = []
-    for _ in range(LADDER_STEPS):
-        # One site draw and two unused draws per step, as the benchmark's ladder takes them.
-        site_draw, _, _ = (rng.getrandbits(32) for _ in range(3))
-        sites = available_sites(current)
-        current = double_bigon(current, sites[site_draw % len(sites)])
-        out.append(glue(current.sigma, current.punctures))
-    return out
+    return [glue(inst.sigma, inst.punctures) for inst in ladder_instances(seed, LADDER_STEPS)]
 
 
 @pytest.fixture(scope="module")

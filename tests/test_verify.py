@@ -84,10 +84,6 @@ class TestGluedSurface:
         assert surf.euler_characteristic == -2
         assert surf.genus == 2
 
-    def test_edge_pairing_matches_reversal(self, genus2_sigma):
-        surf = glue(genus2_sigma, punctures=3)
-        assert surf.edge_pairing == tuple((j, j + 10) for j in range(1, 11))
-
     def test_every_face_punctured_when_p_equals_f(self, genus2_sigma):
         surf = glue(genus2_sigma, punctures=3)
         assert surf.puncture_assignment == (1, 1, 1)
@@ -400,9 +396,14 @@ class TestFrozenOutputs:
                 surf = glue(sigma, punctures)
             except ValueError as exc:
                 return f"{head} error: {exc}"
-            # The text GLUE_SHA256 was recorded from: the surface's fields with its face words third.
+            # The text GLUE_SHA256 was recorded from: the surface's fields with its face words third, then
+            # the two fields glue no longer stores, its edge pairing j <-> j+2n and its vertex classes.
             fields = [(f.name, getattr(surf, f.name)) for f in dataclasses.fields(surf)]
-            fields.insert(2, ("faces", tuple(tuple(label_of(j, surf.n) for j in c) for c in surf.face_cycles)))
+            fields[2:2] = [
+                ("faces", tuple(tuple(label_of(j, surf.n) for j in c) for c in surf.face_cycles)),
+                ("edge_pairing", tuple((j, j + 2 * surf.n) for j in range(1, 2 * surf.n + 1))),
+                ("vertex_classes", vertex_classes(sigma)),
+            ]
             return f"{head} GluedSurface({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
         assert _digest(describe(sigma, punctures) for sigma, _, punctures in corpus) == GLUE_SHA256
