@@ -16,11 +16,11 @@ from .svg import render_svg
 from .tables import (
     CrossValidation,
     CrossValidationError,
-    NoFillingPairError,
     cross_validate,
     min_intersection,
 )
 from .verify import (
+    CertificateError,
     CheckResult,
     FillingInstance,
     GluedSurface,
@@ -33,12 +33,12 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateError",
     "CheckResult",
     "CrossValidation",
     "CrossValidationError",
     "FillingInstance",
     "GluedSurface",
-    "NoFillingPairError",
     "Permutation",
     "SearchLimitError",
     "SearchQuery",

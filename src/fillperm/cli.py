@@ -1,7 +1,10 @@
 """Command line front end: verify, glue, search, extend, table, export-svg.
 
-Exit codes: 0 success, 1 parse or usage error, 2 semantic validation
-failure, 3 resource-cap exhaustion.  All output is deterministic.
+Exit codes: 0 success; 1 parse or usage error (a ``ValueError`` or an
+``OSError``); 2 semantic validation failure (a failing check or scan, or
+a ``CertificateError``, which ``main`` catches before ``ValueError``); 3
+resource-cap exhaustion (a ``SearchLimitError``).  All output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -9,14 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Iterable
 
 from . import _kernel
 from .moves import extend_to
 from .permutations import MAX_DEGREE, Permutation
 from .search import SearchLimitError, SearchQuery, enumerate_solutions, naive_enumerate, shift_classes
 from .svg import render_svg
-from .tables import CrossValidationError, NoFillingPairError, cross_validate, min_intersection
-from .verify import FillingInstance, glue, validate
+from .tables import CrossValidationError, cross_validate, min_intersection
+from .verify import CertificateError, FillingInstance, glue, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,12 +66,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_glue(args: argparse.Namespace) -> int:
-    sigma = _load_sigma(args)
-    try:
-        surface = glue(sigma, args.punctures)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    surface = glue(_load_sigma(args), args.punctures)
     for line in surface.lines():
         print(line)
     print(f"vertices={surface.vertex_count}")
@@ -116,58 +115,43 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     degree = sigma.degree + 4 * (args.target_p - args.punctures)  # each surgery adds two punctures and eight symbols
     if degree > MAX_DEGREE:
         raise ValueError(f"--target-p {args.target_p} needs degree {degree}, above the cap of {MAX_DEGREE} symbols")
-    instance = FillingInstance(sigma, args.genus, args.punctures)
-    try:
-        extended = extend_to(instance, args.target_p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    extended = extend_to(FillingInstance(sigma, args.genus, args.punctures), args.target_p)
     print(extended.sigma)
     for line in validate(extended).lines():
         print(line)
     return EXIT_OK
 
 
-def _closed_form(genus: int, punctures: int) -> int | None:
-    try:
-        return min_intersection(genus, punctures)
-    except NoFillingPairError:
-        return None
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     if not args.max_seconds >= 0:  # also rejects NaN, in both modes, though only --cap-n spends it
         raise ValueError(f"--max-seconds must be non-negative, got {args.max_seconds}")
-    grid_flags = (args.max_genus is not None, args.max_punctures is not None)
-    if any(grid_flags):
-        if not all(grid_flags):
-            print("error: grid mode needs both --max-genus and --max-punctures", file=sys.stderr)
-            return EXIT_USAGE
+    grid = args.max_genus is not None or args.max_punctures is not None
+    if grid:
+        if args.max_genus is None or args.max_punctures is None:
+            raise ValueError("grid mode needs both --max-genus and --max-punctures")
         if args.max_genus < 0 or args.max_punctures < 0:
             raise ValueError("--max-genus and --max-punctures must be non-negative")
         genera, punctures = range(args.max_genus + 1), range(args.max_punctures + 1)
     elif args.genus is None or args.punctures is None:
-        print("error: need --genus and --punctures, or both --max-* flags", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --genus and --punctures, or both --max-* flags")
     else:
         genera, punctures = (args.genus,), (args.punctures,)
     if args.cap_n is not None:
-        return _scan([(g, p) for g in genera for p in punctures], args.cap_n, args.max_seconds)
-    rows = [[str(_closed_form(g, p) or "none") for p in punctures] for g in genera]  # no minimum is 0
-    if not any(grid_flags):
-        print(rows[0][0])
-        return EXIT_OK
-    print("g\\p " + " ".join(str(p) for p in punctures))
-    for g, row in zip(genera, rows):
-        print(f"{g} " + " ".join(row))
+        return _scan(((g, p) for g in genera for p in punctures), args.cap_n, args.max_seconds)
+    # Each row is printed as it is computed, so memory does not grow with the grid.
+    if grid:
+        print("g\\p " + " ".join(map(str, punctures)))
+    for g in genera:
+        row = " ".join(str(min_intersection(g, p) or "none") for p in punctures)  # no minimum is 0
+        print(f"{g} {row}" if grid else row)
     return EXIT_OK
 
 
-def _scan(cells: list[tuple[int, int]], cap_n: int, max_seconds: float) -> int:
+def _scan(cells: Iterable[tuple[int, int]], cap_n: int, max_seconds: float) -> int:
     """Search every n up to min(closed form, ``cap_n``) on each cell: one line per cell, then a summary."""
     failures = exhausted = 0
     for g, p in cells:
-        expected = _closed_form(g, p)
+        expected = min_intersection(g, p)
         n_max = cap_n if expected is None else min(expected, cap_n)
         try:
             cv = cross_validate(g, p, n_max, max_seconds=max_seconds)
@@ -197,13 +181,7 @@ def _scan(cells: list[tuple[int, int]], cap_n: int, max_seconds: float) -> int:
 
 
 def _cmd_export_svg(args: argparse.Namespace) -> int:
-    sigma = _load_sigma(args)
-    try:
-        surface = glue(sigma, args.punctures)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    markup = render_svg(surface)
+    markup = render_svg(glue(_load_sigma(args), args.punctures))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(markup + "\n")
     print(f"wrote {args.out}")
@@ -232,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--dedup", action="store_true", help="quotient by label symmetries")
     p_search.add_argument("--naive", action="store_true", help="force the brute-force oracle")
     p_search.add_argument("--limit", type=int, default=None, help="stop after this many solutions")
-    p_search.add_argument("--max-nodes", type=int, default=10**9)
-    p_search.add_argument("--max-seconds", type=float, default=600.0)
+    p_search.add_argument("--max-nodes", type=int, default=SearchQuery.max_nodes)
+    p_search.add_argument("--max-seconds", type=float, default=SearchQuery.max_seconds)
     p_search.set_defaults(func=_cmd_search)
 
     p_extend = sub.add_parser("extend", help="apply double-bigon moves to raise punctures")
@@ -269,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except SearchLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import _kernel
 from .permutations import Permutation
-from .verify import FillingInstance, validate
+from .verify import CertificateError, FillingInstance, validate
 
 __all__ = ["available_sites", "double_bigon", "extend_to"]
 
@@ -34,14 +34,14 @@ def available_sites(instance: FillingInstance) -> tuple[int, ...]:
 def double_bigon(instance: FillingInstance, site: int) -> FillingInstance:
     """Apply the move at ``site`` and return the enlarged certificate.
 
-    Raises ValueError for an invalid input instance or a site that names
-    no vertex class; raises RuntimeError if the rewritten permutation
+    Raises CertificateError for an invalid input instance or a site that
+    names no vertex class; raises RuntimeError if the rewritten permutation
     fails validation, which would indicate an internal bug.
     """
     report = validate(instance)
     if not report.valid:
         failing = ", ".join(c.name for c in report.failures())
-        raise ValueError(f"surgery needs a valid instance; failing checks: {failing}")
+        raise CertificateError(f"surgery needs a valid instance; failing checks: {failing}")
     return _splice(instance, site)
 
 
@@ -50,7 +50,7 @@ def _splice(instance: FillingInstance, site: int) -> FillingInstance:
     w, eps = _kernel.crossings((0, *instance.sigma.images), instance.n)
     k = next((k for k, c in enumerate(w) if _site(k, c) == site), None)
     if k is None:
-        raise ValueError(f"no vertex class is labeled {site}")
+        raise CertificateError(f"no vertex class is labeled {site}")
     # Two new crossings follow crossing k along both curves, of opposite then equal handedness.
     c = w[k]
     w = [x + 2 if x > c else x for x in w]
@@ -68,14 +68,15 @@ def extend_to(instance: FillingInstance, target_punctures: int) -> FillingInstan
     """Apply the surgery until the puncture count reaches the target.
 
     The site is chosen deterministically at every step: the vertex class
-    containing the smallest corner symbol.
+    containing the smallest corner symbol.  Raises CertificateError for an
+    invalid instance or a target it cannot reach.
     """
     if target_punctures < instance.punctures:
-        raise ValueError("target puncture count lies below the current one")
+        raise CertificateError("target puncture count lies below the current one")
     if (target_punctures - instance.punctures) % 2:
-        raise ValueError("the surgery adds punctures in pairs; parity mismatch")
+        raise CertificateError("the surgery adds punctures in pairs; parity mismatch")
     if not validate(instance).valid:
-        raise ValueError("extension needs a valid instance")
+        raise CertificateError("extension needs a valid instance")
     # Each step's output was validated by the step itself, so only the first input is checked here.
     current = instance
     while current.punctures < target_punctures:

@@ -227,7 +227,7 @@ def naive_enumerate(query: SearchQuery) -> SearchResult:
 
 
 def shift_classes(
-    genus: int, punctures: int, n: int, max_nodes: int = 10**9, max_seconds: float = 600.0
+    genus: int, punctures: int, n: int, max_nodes: int = SearchQuery.max_nodes, max_seconds: float = SearchQuery.max_seconds
 ) -> tuple[int, int, int]:
     """Classes, raw count and nodes of the filling permutations for (genus, punctures, n).
 

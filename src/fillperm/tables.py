@@ -10,33 +10,26 @@ from .search import SearchQuery, enumerate_solutions, shift_classes
 __all__ = [
     "CrossValidation",
     "CrossValidationError",
-    "NoFillingPairError",
     "cross_validate",
     "min_intersection",
 ]
-
-
-class NoFillingPairError(Exception):
-    """The surface carries no filling pair at all (sphere with p <= 3)."""
 
 
 class CrossValidationError(Exception):
     """The search-determined minimum disagrees with the closed form, or the two search engines disagree."""
 
 
-def min_intersection(genus: int, punctures: int) -> int:
+def min_intersection(genus: int, punctures: int) -> int | None:
     """Minimal crossing count of a filling pair on the given surface.
 
-    Raises :class:`NoFillingPairError` on the sphere with at most three
-    punctures, where no two curves can fill.
+    ``None`` on the sphere with at most three punctures, where no two
+    curves can fill.
     """
     if genus < 0 or punctures < 0:
         raise ValueError("genus and punctures must be non-negative")
     if genus == 0:
         if punctures <= 3:
-            raise NoFillingPairError(
-                f"no filling pair exists on the sphere with {punctures} punctures"
-            )
+            return None
         return punctures - 2 if punctures % 2 == 0 else punctures - 1
     if genus == 2:
         return 4 if punctures <= 2 else punctures + 2
@@ -54,25 +47,19 @@ class CrossValidation:
     witness: Permutation | None
 
 
-def cross_validate(
-    genus: int,
-    punctures: int,
-    n_max: int,
-    max_nodes: int = 10**9,
-    max_seconds: float = 600.0,
-) -> CrossValidation:
+def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = SearchQuery.max_seconds) -> CrossValidation:
     """Probe search emptiness for every n up to ``n_max`` against the table.
 
     Each count is the full raw count, read from ``shift_classes``, which
-    walks one crossing sequence per basepoint-shift class, so ``max_nodes``
-    and ``max_seconds`` bound each n's walk.  The propagation search of
-    ``enumerate_solutions`` then supplies one ``witness`` at the smallest
-    nonempty n, under the same budgets.  Raises
-    :class:`CrossValidationError` when the walk finds a smallest nonempty
-    n that contradicts the closed form (or finds any solution on a
-    surface where no filling pair should exist), or when the search finds
-    no witness where the walk counted solutions, and ``ValueError`` when
-    ``n_max`` is below 1.
+    walks one crossing sequence per basepoint-shift class, so
+    ``max_seconds`` and :class:`SearchQuery`'s default node budget bound
+    each n's walk.  The propagation search of ``enumerate_solutions`` then
+    supplies one ``witness`` at the smallest nonempty n, under the same
+    budgets.  Raises :class:`CrossValidationError` when the walk finds a
+    smallest nonempty n that contradicts the closed form (or finds any
+    solution on a surface where no filling pair should exist), or when the
+    search finds no witness where the walk counted solutions, and
+    ``ValueError`` when ``n_max`` is below 1.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -81,15 +68,11 @@ def cross_validate(
     for n in range(1, n_max + 1):
         # A shift class of period p holds n * p solutions, so the walk's raw
         # count is the full count of the unquotiented search.
-        raw = shift_classes(genus, punctures, n, max_nodes, max_seconds)[1]
+        raw = shift_classes(genus, punctures, n, SearchQuery.max_nodes, max_seconds)[1]
         counts.append((n, raw))
         if raw and smallest is None:
             smallest = n
-    try:
-        expected: int | None = min_intersection(genus, punctures)
-    except NoFillingPairError:
-        expected = None
-
+    expected = min_intersection(genus, punctures)
     if expected is None:
         if smallest is not None:
             raise CrossValidationError(
@@ -107,9 +90,7 @@ def cross_validate(
         )
     witness = None
     if smallest is not None:
-        found = enumerate_solutions(SearchQuery(
-            genus, punctures, smallest, limit=1, max_nodes=max_nodes, max_seconds=max_seconds
-        )).solutions
+        found = enumerate_solutions(SearchQuery(genus, punctures, smallest, limit=1, max_seconds=max_seconds)).solutions
         if not found:
             raise CrossValidationError(
                 f"the propagation search finds no witness at n = {smallest}, where the walk counted solutions"

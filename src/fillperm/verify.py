@@ -11,13 +11,14 @@ Euler characteristic and puncture placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _kernel
 from .arcs import label_texts
 from .permutations import Permutation
 
 __all__ = [
+    "CertificateError",
     "CheckResult",
     "FillingInstance",
     "GluedSurface",
@@ -26,6 +27,10 @@ __all__ = [
     "validate",
     "vertex_classes",
 ]
+
+
+class CertificateError(ValueError):
+    """A well-formed permutation that is no certificate for the requested operation."""
 
 
 @dataclass(frozen=True)
@@ -75,18 +80,9 @@ class ValidationReport:
     euler_characteristic: int
     components: int
 
-    @property
-    def valid(self) -> bool:
-        expected_faces = self.n + 2 - 2 * self.genus
-        return (
-            self.parity_offender is None and self.equation_offender is None and self.faces == expected_faces
-            and self.bigons <= self.punctures <= expected_faces and self.bad_orbit is None
-            and self.euler_characteristic == 2 - 2 * self.genus and self.components == 1
-        )
-
-    @property
+    @cached_property
     def checks(self) -> tuple[CheckResult, ...]:
-        """The nine checks in order, their text formatted on each read."""
+        """The nine checks in order, formatted on first read."""
         n, g, p, faces, bigons = self.n, self.genus, self.punctures, self.faces, self.bigons
         chi = self.euler_characteristic
         expected_faces = n + 2 - 2 * g
@@ -107,6 +103,11 @@ class ValidationReport:
             _check("euler-characteristic", "" if chi == 2 - 2 * g else f"V-E+F = {chi}, expected 2-2g = {2 - 2 * g}"),
             _check("connectivity", "" if self.components == 1 else f"{self.components} components after gluing"),
         )
+
+    @cached_property
+    def valid(self) -> bool:
+        """No check fails."""
+        return not self.failures()
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -210,13 +211,15 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
 
     Every bigon face must hold a puncture; remaining punctures go to the
     other faces in ascending canonical cycle order, at most one each.
+    Raises CertificateError when ``sigma`` is off the filling equation or
+    the punctures do not fit its faces.
     """
     if punctures < 0:
         raise ValueError("punctures must be non-negative")
     s, rev, adv = _kernel_view(sigma)
     n = sigma.degree // 4
     if _kernel.parity_offender(s) is not None or _kernel.equation_offender(s, rev, adv) is not None:
-        raise ValueError("gluing needs a parity-reversing permutation satisfying the filling equation")
+        raise CertificateError("gluing needs a parity-reversing permutation satisfying the filling equation")
 
     face_cycles = _kernel.cycles(s)
     chi = len(face_cycles) - n  # n vertices and 2n edges, as validate derives
@@ -226,9 +229,9 @@ def glue(sigma: Permutation, punctures: int) -> GluedSurface:
 
     bigons = [i for i, c in enumerate(face_cycles) if len(c) == 2]
     if punctures < len(bigons):
-        raise ValueError(f"{len(bigons)} bigon faces must all be punctured but p = {punctures}")
+        raise CertificateError(f"{len(bigons)} bigon faces must all be punctured but p = {punctures}")
     if punctures > len(face_cycles):
-        raise ValueError(f"p = {punctures} exceeds the {len(face_cycles)} available faces")
+        raise CertificateError(f"p = {punctures} exceeds the {len(face_cycles)} available faces")
     assignment = [int(len(c) == 2) for c in face_cycles]
     spare = punctures - len(bigons)
     for i in range(len(face_cycles)):

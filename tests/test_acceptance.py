@@ -195,3 +195,41 @@ def test_structural_properties_of_every_found_solution(genus2_p3_n5_solutions):
                 # parity reversal forces even cycle lengths
                 assert validate(FillingInstance(sigma, genus, punctures)).parity_offender is None
                 assert all(len(c) % 2 == 0 for c in surf.face_cycles)
+
+
+PUBLIC_API = [
+    "CertificateError",
+    "CheckResult",
+    "CrossValidation",
+    "CrossValidationError",
+    "FillingInstance",
+    "GluedSurface",
+    "Permutation",
+    "SearchLimitError",
+    "SearchQuery",
+    "SearchResult",
+    "ValidationReport",
+    "available_sites",
+    "canonical_form",
+    "cross_validate",
+    "curve_advance",
+    "double_bigon",
+    "enumerate_solutions",
+    "extend_to",
+    "glue",
+    "min_intersection",
+    "naive_enumerate",
+    "render_svg",
+    "reversal_pairing",
+    "validate",
+    "vertex_classes",
+]
+
+
+def test_public_api_is_pinned():
+    """Every public name, so that a change to the package's API shows up as a diff here."""
+    import fillperm
+
+    with summary("public-api"):
+        assert sorted(fillperm.__all__) == PUBLIC_API
+        assert all(hasattr(fillperm, name) for name in PUBLIC_API)

@@ -451,6 +451,32 @@ def test_table_scan_at_a_large_genus_stops_on_a_budget_in_linear_memory(capsys, 
     assert peak < 2**24
 
 
+class _HashingSink(io.TextIOBase):
+    """A text stream that keeps only a SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_table_grid_prints_in_memory_independent_of_its_size():
+    """A 101 x 3001 grid (1.4 MB of text) is printed row by row; the whole grid once took 19 MB."""
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["table", "--max-genus", "100", "--max-punctures", "3000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest() == "e1d8b2d9bb14b4c02fc9a00ab23a7d4fbee15b504a26d77ad92bc0bc6a82d06b"
+    assert peak < 2**21
+
+
 def test_search_deeper_than_the_recursion_limit_exits_3(capsys):
     code, out, err = run_cli(capsys, "search", "--genus", "10000", "--punctures", "0", "--n", "19999")
     assert (code, out) == (3, "")
@@ -558,6 +584,47 @@ def test_frozen_command_outputs(capsys, tmp_path):
         digest.update(f"{code}\n{out}\n{err}\n".replace(str(out_file), "OUT").encode())
     digest.update(out_file.read_bytes())
     assert digest.hexdigest() == FROZEN_SHA256
+
+
+# Every error path of glue, export-svg, extend and table, and the table's plain
+# and scanning modes: exit code, stdout and stderr, byte for byte.
+ERROR_PATH_ARGV = [
+    *(
+        (command, "--sigma", sigma, "--punctures", punctures, *out)
+        for command, out in (("glue", ()), ("export-svg", ("--out", "TMP/out.svg")))
+        for sigma, punctures in (
+            ("(1,2)(3,4)", "0"),  # parity-reversing, off the filling equation
+            ("(1,3)(2,4)", "0"),  # not parity-reversing
+            ("(1,2)(3,6)(4,5)(7,8)", "0"),  # a bigon left unpunctured
+            ("(1,2,3,4)", "2"),  # more punctures than faces
+        )
+    ),
+    ("export-svg", "--sigma", GENUS2_BASE, "--punctures", "3", "--out", "TMP/missing/out.svg"),
+    ("extend", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3", "--target-p", "1"),
+    ("extend", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3", "--target-p", "4"),
+    ("extend", "--sigma", "(1,2,3,4)", "--genus", "0", "--punctures", "0", "--target-p", "2"),
+    ("table", "--max-genus", "2"),
+    ("table", "--max-punctures", "2"),
+    ("table",),
+    ("table", "--genus", "0", "--punctures", "3"),
+    ("table", "--genus", "2", "--punctures", "3"),
+    ("table", "--max-genus", "3", "--max-punctures", "5"),
+    ("table", "--max-genus", "3", "--max-punctures", "0", "--cap-n", "2"),
+    ("table", "--genus", "0", "--punctures", "4", "--cap-n", "4"),
+    ("table", "--genus", "1", "--punctures", "0", "--max-seconds", "0"),
+    ("table", "--max-genus", "2", "--max-punctures", "4", "--cap-n", "6", "--max-seconds", "0"),
+]
+# Recorded before the semantic failures moved into one handler in ``main``.
+ERROR_PATH_SHA256 = "62d31050efb4c2f7c1ee6ee6139c2d90579c3daee29d6b74615bdfa6851b71cb"
+
+
+def test_frozen_error_paths(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for argv in ERROR_PATH_ARGV:
+        code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+        digest.update(f"{code}\n{out}\n{err}\n".replace(str(tmp_path), "TMP").encode())
+    assert not (tmp_path / "out.svg").exists()
+    assert digest.hexdigest() == ERROR_PATH_SHA256
 
 
 # Recorded with the n*n first-image scan, uncached shift maps and printing

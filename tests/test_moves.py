@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from fillperm import (
+    CertificateError,
     FillingInstance,
     Permutation,
     SearchQuery,
@@ -130,6 +131,19 @@ class TestRejections:
     def test_extend_requires_valid_instance(self):
         with pytest.raises(ValueError):
             extend_to(FillingInstance(Permutation.identity(4), 1, 0), 2)
+
+    def test_every_rejection_is_a_certificate_error(self, torus_sigma, genus2_instance):
+        """What the command line exits 2 on."""
+        invalid = FillingInstance(Permutation.identity(4), 1, 0)
+        for move, instance, arg in [
+            (double_bigon, invalid, 1),
+            (double_bigon, FillingInstance(torus_sigma, 1, 0), 2),
+            (extend_to, invalid, 2),
+            (extend_to, genus2_instance, 1),
+            (extend_to, genus2_instance, 4),
+        ]:
+            with pytest.raises(CertificateError):
+                move(instance, arg)
 
 
 @pytest.mark.parametrize("n, count", [(1, 2), (2, 8), (3, 48), (4, 384), (5, 3840)])

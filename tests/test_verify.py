@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fillperm import (
+    CertificateError,
     FillingInstance,
     Permutation,
     SearchQuery,
@@ -46,6 +47,12 @@ class TestGenus2Certificate:
         assert report.valid
         assert report.n == 5
         assert [c.name for c in report.checks] == CHECK_NAMES
+
+    def test_checks_and_verdict_are_computed_once(self, genus2_instance):
+        report = dataclasses.replace(validate(genus2_instance), components=2)
+        assert report.checks is report.checks
+        assert report.valid is False
+        assert report.__dict__.keys() >= {"checks", "valid"}
 
     def test_report_lines(self, genus2_instance):
         lines = validate(genus2_instance).lines()
@@ -126,6 +133,15 @@ class TestGlueRejections:
     def test_negative_punctures(self, torus_sigma):
         with pytest.raises(ValueError):
             glue(torus_sigma, punctures=-1)
+
+    def test_only_a_bad_certificate_is_a_certificate_error(self, torus_sigma, sphere4_sigma):
+        """The command line exits 2 on a CertificateError and 1 on any other ValueError."""
+        for sigma, punctures in ((Permutation.identity(4), 0), (sphere4_sigma, 3), (torus_sigma, 2)):
+            with pytest.raises(CertificateError):
+                glue(sigma, punctures)
+        with pytest.raises(ValueError) as negative:
+            glue(torus_sigma, punctures=-1)
+        assert not isinstance(negative.value, CertificateError)
 
 
 class TestIndividualFailures:
