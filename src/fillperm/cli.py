@@ -14,10 +14,9 @@ import sys
 import time
 from typing import Iterable
 
-from . import _kernel
 from .moves import extend_to
 from .permutations import MAX_DEGREE, Permutation
-from .search import SearchLimitError, SearchQuery, enumerate_solutions, naive_enumerate, shift_classes
+from .search import SearchLimitError, SearchQuery, canonical_form, enumerate_solutions, naive_enumerate, shift_classes
 from .svg import render_svg
 from .tables import CrossValidationError, cross_validate, min_intersection
 from .verify import CertificateError, FillingInstance, glue, validate
@@ -92,10 +91,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         for perm in solutions:
             if time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {args.max_seconds}s exhausted")
-            forms.add(tuple(_kernel.canonical((0, *perm.images), args.n)[1:]))
+            forms.add(canonical_form(perm))
         classes = len(forms)
         if args.dedup:
-            solutions = tuple(map(Permutation, sorted(forms)))
+            solutions = sorted(forms, key=lambda perm: perm.images)
     else:
         # The whole cell: the necklace walk counts its classes and checks the raw count
         # before anything is printed.

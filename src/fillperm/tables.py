@@ -63,9 +63,12 @@ def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = 
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    counts: list[tuple[int, int]] = []
+    SearchQuery(genus, punctures, 1, max_seconds=max_seconds)  # the entry checks of the first walk
+    # Below n = 2g - 1 there are n + 2 - 2g < 1 faces, so those cells are empty without a walk.
+    first = min(max(1, 2 * genus - 1), n_max + 1)
+    counts: list[tuple[int, int]] = [(n, 0) for n in range(1, first)]
     smallest: int | None = None
-    for n in range(1, n_max + 1):
+    for n in range(first, n_max + 1):
         # A shift class of period p holds n * p solutions, so the walk's raw
         # count is the full count of the unquotiented search.
         raw = shift_classes(genus, punctures, n, SearchQuery.max_nodes, max_seconds)[1]

@@ -637,8 +637,21 @@ SEARCH_SHA256 = {
 
 
 @pytest.mark.parametrize("extra", sorted(SEARCH_SHA256), ids=["raw", "dedup"])
-def test_frozen_genus2_four_puncture_search(capsys, extra):
+def test_frozen_genus2_four_puncture_search(capsys, monkeypatch, extra):
+    import fillperm.cli
+
+    calls = 0
+    real = fillperm.cli.canonical_form
+
+    def counted(sigma):
+        nonlocal calls
+        calls += 1
+        return real(sigma)
+
+    monkeypatch.setattr(fillperm.cli, "canonical_form", counted)
     code, out, err = run_cli(capsys, "search", "--genus", "2", "--punctures", "4", "--n", "6", *extra)
     assert (code, err) == (0, "")
+    # --dedup canonicalises each solution through the public canonical_form; a complete raw search needs none.
+    assert calls == (23616 if extra else 0)
     assert out.splitlines()[-1] == "count=23616 dedup=664 nodes=75780"
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[extra]

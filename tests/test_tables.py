@@ -109,6 +109,41 @@ class TestCrossValidation:
         assert validate(FillingInstance(cv.witness, 1, 0)).valid
         assert cross_validate(0, 2, n_max=2).witness is None
 
+    # Counts recorded when every n from 1 was walked.
+    @pytest.mark.parametrize(
+        "genus, punctures, n_max, walks, counts",
+        [
+            (3, 2, 7, 3, (0, 0, 0, 0, 0, 18768, 381416)),
+            (4, 1, 7, 1, (0, 0, 0, 0, 0, 0, 65856)),
+            (0, 4, 4, 4, (0, 4, 0, 16)),
+            (30000, 0, 3, 0, (0, 0, 0)),
+        ],
+    )
+    def test_walks_start_where_a_face_fits(self, monkeypatch, genus, punctures, n_max, walks, counts):
+        # n + 2 - 2g < 1 faces below n = 2g - 1, so those counts are 0 without a walk.
+        import fillperm.tables as tables
+
+        real = tables.shift_classes
+        walked = []
+
+        def counted(genus, punctures, n, *budgets):
+            walked.append(n)
+            return real(genus, punctures, n, *budgets)
+
+        monkeypatch.setattr(tables, "shift_classes", counted)
+        cv = cross_validate(genus, punctures, n_max)
+        assert len(walked) == walks
+        assert cv.counts == tuple(enumerate(counts, start=1))
+
+    @pytest.mark.parametrize(
+        "punctures, max_seconds, message",
+        [(0, -1.0, "max_seconds must be non-negative"), (0, float("nan"), "max_seconds must be non-negative"),
+         (-1, 1.0, "genus and punctures must be non-negative")],
+    )
+    def test_entry_checks_hold_when_no_n_is_walked(self, punctures, max_seconds, message):
+        with pytest.raises(ValueError, match=message):
+            cross_validate(30000, punctures, 3, max_seconds=max_seconds)
+
     # The disagreement paths only fire when the walk, the search and the
     # table contradict each other, so a lying stub stands in for a real bug.
 
