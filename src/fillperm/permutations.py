@@ -25,12 +25,9 @@ MAX_DEGREE = 2**20
 class Permutation:
     """An immutable bijection of {1, ..., m}.
 
-    ``images[j - 1]`` is the image of symbol ``j``:
+    ``images[j - 1]`` is the image of symbol ``j``; ``str`` writes the canonical cycle form:
 
-    >>> p = Permutation((2, 3, 1, 4))
-    >>> p(2)
-    3
-    >>> str(p)
+    >>> str(Permutation((2, 3, 1, 4)))
     '(1,2,3)(4)'
     """
 
@@ -60,42 +57,6 @@ class Permutation:
     def images(self) -> tuple[int, ...]:
         """Images of 1..degree, 1-indexed semantics."""
         return self._images
-
-    def __call__(self, j: int) -> int:
-        if not 1 <= j <= len(self._images):
-            raise ValueError(f"symbol {j} outside 1..{len(self._images)}")
-        return self._images[j - 1]
-
-    @classmethod
-    def identity(cls, m: int) -> Permutation:
-        return cls(range(1, m + 1))
-
-    def compose(self, inner: Permutation) -> Permutation:
-        """Outer-after-inner composition: ``result(j) = self(inner(j))``.
-
-        >>> a = Permutation.parse("(1,2)", degree=4)
-        >>> b = Permutation.parse("(2,3)", degree=4)
-        >>> a.compose(b)(3)
-        1
-        """
-        if inner.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {inner.degree}")
-        return Permutation(self._images[k - 1] for k in inner._images)
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for j, k in enumerate(self._images, start=1):
-            inv[k - 1] = j
-        return Permutation(inv)
-
-    def conjugate(self, by: Permutation) -> Permutation:
-        """Relabel through ``by``: returns ``by . self . by^-1``."""
-        if by.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {by.degree}")
-        out = [0] * self.degree
-        for j, k in enumerate(self._images, start=1):
-            out[by(j) - 1] = by(k)
-        return Permutation(out)
 
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> Permutation:

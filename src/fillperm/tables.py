@@ -59,13 +59,15 @@ def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = 
     smallest nonempty n that contradicts the closed form (or finds any
     solution on a surface where no filling pair should exist), or when the
     search finds no witness where the walk counted solutions, and
-    ``ValueError`` when ``n_max`` is below 1.
+    ``ValueError`` when ``n_max`` is below 1 or the first n walked has a
+    degree past the cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    SearchQuery(genus, punctures, 1, max_seconds=max_seconds)  # the entry checks of the first walk
     # Below n = 2g - 1 there are n + 2 - 2g < 1 faces, so those cells are empty without a walk.
     first = min(max(1, 2 * genus - 1), n_max + 1)
+    # The first walk's entry checks, the degree cap among them, before any count is recorded.
+    SearchQuery(genus, punctures, min(first, n_max), max_seconds=max_seconds)
     counts: list[tuple[int, int]] = [(n, 0) for n in range(1, first)]
     smallest: int | None = None
     for n in range(first, n_max + 1):

@@ -142,17 +142,34 @@ def symmetry_group(n: int) -> list[Permutation]:
     return [Permutation(alpha), Permutation(beta)]
 
 
+def identity(m: int) -> Permutation:
+    return Permutation(range(1, m + 1))
+
+
+def compose(outer: Permutation, inner: Permutation) -> Permutation:
+    """Outer after inner: symbol ``j`` goes to ``outer.images[inner.images[j - 1] - 1]``."""
+    return Permutation(outer.images[k - 1] for k in inner.images)
+
+
+def conjugate(p: Permutation, by: Permutation) -> Permutation:
+    """Relabel ``p`` through ``by``: ``by . p . by^-1``, the reference ``canonical_form`` is checked against."""
+    out = [0] * p.degree
+    for j, k in enumerate(p.images, start=1):
+        out[by.images[j - 1] - 1] = by.images[k - 1]
+    return Permutation(out)
+
+
 @lru_cache(maxsize=8)
 def _symmetry_elements(n: int) -> tuple[Permutation, ...]:
     gen_a, gen_b = symmetry_group(n)
     elements = []
-    pa = Permutation.identity(4 * n)
+    pa = identity(4 * n)
     for _ in range(n):
         pb = pa
         for _ in range(n):
             elements.append(pb)
-            pb = gen_b.compose(pb)
-        pa = gen_a.compose(pa)
+            pb = compose(gen_b, pb)
+        pa = compose(gen_a, pa)
     return tuple(elements)
 
 

@@ -26,7 +26,7 @@ from fillperm import (
     vertex_classes,
 )
 from fillperm.arcs import label_texts
-from conftest import _symmetry_elements, corner_rotation, cycles_of, small_parameter_grid
+from conftest import _symmetry_elements, compose, conjugate, corner_rotation, cycles_of, identity, small_parameter_grid
 
 
 @contextmanager
@@ -183,12 +183,12 @@ def test_structural_properties_of_every_found_solution(genus2_p3_n5_solutions):
             for sigma in solutions:
                 # conjugation closure under both basepoint shifts
                 for e in elements:
-                    assert sigma.conjugate(e) in pool
+                    assert conjugate(sigma, e) in pool
                 # corner rotation: free of fixed points, order four
                 rot = corner_rotation(sigma)
-                assert all(rot(j) != j for j in range(1, sigma.degree + 1))
-                r2 = rot.compose(rot)
-                assert r2.compose(r2) == Permutation.identity(sigma.degree)
+                assert all(rot.images[j - 1] != j for j in range(1, sigma.degree + 1))
+                r2 = compose(rot, rot)
+                assert compose(r2, r2) == identity(sigma.degree)
                 assert all(len(c) == 4 for c in vertex_classes(sigma))
                 # faces reassemble the permutation exactly
                 assert Permutation.parse(str(sigma), degree=sigma.degree) == sigma
@@ -235,6 +235,11 @@ def test_public_api_is_pinned():
     with summary("public-api"):
         assert sorted(fillperm.__all__) == PUBLIC_API
         assert all(hasattr(fillperm, name) for name in PUBLIC_API)
+
+
+def test_permutation_surface_is_pinned():
+    """The checked image tuple, its cycle notation and nothing else: the group algebra lives in conftest."""
+    assert sorted(name for name in dir(Permutation) if not name.startswith("_")) == ["degree", "images", "parse"]
 
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"

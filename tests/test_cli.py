@@ -419,7 +419,10 @@ def test_negative_count_or_budget_exits_1(capsys, argv):
     ("search", "--genus", "0", "--punctures", "0", "--n", str(MAX_DEGREE // 4 + 1)),
     # 20 symbols plus 4 per added puncture: degree 2**20 + 4, one surgery past the cap.
     ("extend", "--sigma", GENUS2_BASE, "--genus", "2", "--punctures", "3", "--target-p", str(MAX_DEGREE // 4 - 1)),
-], ids=["symbol", "n", "search", "target-p"])
+    # The first walk would be at n = 2g - 1, or at the cap n if that is smaller: both past the degree cap.
+    ("table", "--genus", "300000", "--punctures", "0", "--cap-n", "100000000"),
+    ("table", "--genus", "140000", "--punctures", "0", "--cap-n", "270000"),
+], ids=["symbol", "n", "search", "target-p", "table-genus", "table-cap-n"])
 def test_typed_size_above_the_cap_exits_1_before_allocating(capsys, argv):
     tracemalloc.start()
     try:

@@ -8,7 +8,6 @@ import pytest
 from fillperm import (
     CertificateError,
     FillingInstance,
-    Permutation,
     SearchQuery,
     available_sites,
     double_bigon,
@@ -19,7 +18,7 @@ from fillperm import (
 )
 from fillperm._kernel import crossings, from_crossings
 
-from conftest import cycles_of, ladder_instances
+from conftest import cycles_of, identity, ladder_instances
 
 
 class TestTorusStep:
@@ -120,7 +119,7 @@ class TestExtendTo:
 class TestRejections:
     def test_invalid_instance(self):
         with pytest.raises(ValueError, match="failing checks"):
-            double_bigon(FillingInstance(Permutation.identity(4), 1, 0), 1)
+            double_bigon(FillingInstance(identity(4), 1, 0), 1)
 
     def test_unknown_site(self, torus_sigma):
         # The torus has one vertex class, labeled 1; labels off both ends of 1..4n must not wrap around.
@@ -130,11 +129,11 @@ class TestRejections:
 
     def test_extend_requires_valid_instance(self):
         with pytest.raises(ValueError):
-            extend_to(FillingInstance(Permutation.identity(4), 1, 0), 2)
+            extend_to(FillingInstance(identity(4), 1, 0), 2)
 
     def test_every_rejection_is_a_certificate_error(self, torus_sigma, genus2_instance):
         """What the command line exits 2 on."""
-        invalid = FillingInstance(Permutation.identity(4), 1, 0)
+        invalid = FillingInstance(identity(4), 1, 0)
         for move, instance, arg in [
             (double_bigon, invalid, 1),
             (double_bigon, FillingInstance(torus_sigma, 1, 0), 2),

@@ -22,7 +22,7 @@ from fillperm import (
 )
 from fillperm import _kernel
 
-from conftest import corner_rotation, label_of
+from conftest import compose, corner_rotation, identity, label_of
 
 CHECK_NAMES = [
     "degree-divisible-by-4",
@@ -79,9 +79,9 @@ class TestGenus2Certificate:
 
     def test_corner_rotation_has_order_four(self, genus2_sigma):
         rot = corner_rotation(genus2_sigma)
-        fourth = rot.compose(rot).compose(rot).compose(rot)
-        assert fourth == Permutation.identity(20)
-        assert all(rot(j) != j for j in range(1, 21))
+        fourth = compose(compose(compose(rot, rot), rot), rot)
+        assert fourth == identity(20)
+        assert all(rot.images[j - 1] != j for j in range(1, 21))
 
 
 class TestGluedSurface:
@@ -120,7 +120,7 @@ class TestGluedSurface:
 class TestGlueRejections:
     def test_non_filling_permutation(self):
         with pytest.raises(ValueError):
-            glue(Permutation.identity(4), punctures=0)
+            glue(identity(4), punctures=0)
 
     def test_unpunctured_bigon(self, sphere4_sigma):
         with pytest.raises(ValueError, match="bigon"):
@@ -136,7 +136,7 @@ class TestGlueRejections:
 
     def test_only_a_bad_certificate_is_a_certificate_error(self, torus_sigma, sphere4_sigma):
         """The command line exits 2 on a CertificateError and 1 on any other ValueError."""
-        for sigma, punctures in ((Permutation.identity(4), 0), (sphere4_sigma, 3), (torus_sigma, 2)):
+        for sigma, punctures in ((identity(4), 0), (sphere4_sigma, 3), (torus_sigma, 2)):
             with pytest.raises(CertificateError):
                 glue(sigma, punctures)
         with pytest.raises(ValueError) as negative:
@@ -174,13 +174,13 @@ class TestIndividualFailures:
         assert "size 2" in detail
 
     def test_disconnected_gluing_is_caught(self):
-        report = validate(FillingInstance(Permutation.identity(8), 0, 0))
+        report = validate(FillingInstance(identity(8), 0, 0))
         detail = next(c for c in report.checks if c.name == "connectivity")
         assert not detail.passed
         assert "4 components" in detail.detail
 
     def test_failure_lines_carry_details(self):
-        report = validate(FillingInstance(Permutation.identity(4), 1, 0))
+        report = validate(FillingInstance(identity(4), 1, 0))
         assert not report.valid
         assert report.lines()[-1] == "result: INVALID"
         assert any("FAIL" in line for line in report.lines())
@@ -332,7 +332,7 @@ def test_validate_fuzz(case):
 class TestInstanceConstruction:
     def test_degree_must_be_quarterable(self):
         with pytest.raises(ValueError):
-            FillingInstance(Permutation.identity(6), 1, 0)
+            FillingInstance(identity(6), 1, 0)
 
     def test_negative_parameters_rejected(self, torus_sigma):
         with pytest.raises(ValueError):
