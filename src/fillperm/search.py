@@ -14,8 +14,12 @@ them into basepoint-shift classes.  A brute-force oracle over the full
 symmetric group covers degrees up to 8 and exists so the two routes can
 be checked against each other.
 
-``shift_classes`` counts the same solutions one basepoint-shift class at
-a time by walking crossing sequences instead (see its docstring).
+``shift_classes`` counts the same solutions by walking crossing
+sequences instead: one per basepoint-shift class, and of those only the
+classes with at most half their crossings left-handed and a tilt of at
+most 0, each weighted by its images under the mirror and the index
+reversal.  Every class it counts, walked or weighted, passes ``validate``
+(see its docstring).
 """
 
 from __future__ import annotations
@@ -234,18 +238,34 @@ def shift_classes(
     Walks crossing sequences ``(w, eps)`` (see ``_kernel.crossings``) with
     w(0) = 0, which quotients the second curve's basepoint shift, placing
     crossings in first-curve order.  The first curve's shift rotates the
-    pairs x_k = (eps_k, w(k+1) - w(k) mod n), so a shift class is a
-    necklace of them, and the prenecklace test of Fredricksen, Kessler and
+    pairs x_k = (eps_k, d_k), d_k = w(k+1) - w(k) mod n, so a shift class is
+    a necklace of them, and the prenecklace test of Fredricksen, Kessler and
     Maiorana (Ruskey, Savage and Wang, *Generating necklaces*, 1992) keeps
     exactly its lexicographically smallest rotation: a prefix is dropped
     once some x_t falls below x_{t-p}, p the period so far.  The second
     curve's shift acts freely and a necklace of period p has p rotations,
-    so its class holds n * p solutions.  Each crossing fixes four images of sigma,
-    which never collide, and the open-segment face count of
-    ``enumerate_solutions`` prunes on face overflow, bigon overflow and
-    premature closure.  Every representative passes the public
-    ``validate``.  A node is one placed crossing; the budgets are those
-    of :class:`SearchQuery`, and the walk recurses once per crossing.
+    so its class holds n * p solutions.
+
+    Two more symmetries keep faces and bigons and map shift classes onto
+    shift classes of the same period, each with a class invariant that a
+    prefix already bounds.  The mirror eps -> not eps sends the number of
+    left-handed crossings, lefts, to n - lefts.  The index reversal
+    (w, eps) -> (w o r, eps o r), r(k) = -k mod n, negates every d_k and so
+    the tilt, the number of steps with 2 d_k < n minus those with
+    2 d_k > n.  The walk visits only the classes with 2 * lefts <= n and
+    tilt <= 0, dropping a prefix once 2 * lefts > n or its tilt exceeds the
+    number of steps still open, and counts each leaf's class once, its
+    mirror too when 2 * lefts < n, its reversal too when tilt < 0, and the
+    image under both when both hold; those images are classes it never
+    visits.  Every counted class, walked or imaged, is built with
+    ``_kernel.from_crossings`` and passes the public ``validate``, so a
+    cell makes one ``validate`` call per class.
+
+    Each crossing fixes four images of sigma, which never collide, and the
+    open-segment face count of ``enumerate_solutions`` prunes on face
+    overflow, bigon overflow and premature closure.  A node is one placed
+    crossing; the budgets are those of :class:`SearchQuery`, and the walk
+    recurses once per crossing.
     """
     SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
     deadline = time.perf_counter() + max_seconds
@@ -262,8 +282,8 @@ def shift_classes(
     x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
     classes = raw = nodes = 0
 
-    def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int) -> None:
-        nonlocal classes, raw, nodes
+    def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int, lefts: int, tilt: int) -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise SearchLimitError(f"node budget {max_nodes} exhausted")
@@ -284,13 +304,9 @@ def shift_classes(
             w[k], eps[k] = c, right
             if k == n - 1:
                 if faces == target_faces and n % period == 0:
-                    perm = Permutation(_kernel.from_crossings(w, eps)[1:])
-                    if not validate(FillingInstance(perm, genus, punctures)).valid:
-                        raise RuntimeError("internal inconsistency: walk produced an invalid candidate")
-                    classes += 1
-                    raw += n * period
+                    count(period, 2 * lefts < n, tilt < 0)
             elif faces < target_faces:
-                walk(k + 1, faces, bigons, period)
+                walk(k + 1, faces, bigons, period, lefts, tilt)
         # Undo newest first; a join left head[a] and tail[b] untouched.
         for a, b in reversed(chain):
             s = head[a]
@@ -298,18 +314,41 @@ def shift_classes(
                 tail[s], head[tail[b]] = a, b
                 steps[s] -= steps[b] + 1
 
-    def walk(k: int, faces: int, bigons: int, period: int) -> None:
+    def count(period: int, mirror: bool, reverse: bool) -> None:
+        # The class, then its mirror and its index reversal where those are classes the walk skips.
+        nonlocal classes, raw
+        signs = [eps, [not e for e in eps]] if mirror else [eps]
+        images = [(w, e) for e in signs]
+        if reverse:
+            images += [(w[:1] + w[:0:-1], e[:1] + e[:0:-1]) for e in signs]
+        for ws, es in images:
+            perm = Permutation(_kernel.from_crossings(ws, es)[1:])
+            if not validate(FillingInstance(perm, genus, punctures)).valid:
+                raise RuntimeError("internal inconsistency: walk produced an invalid candidate")
+        classes += len(images)
+        raw += len(images) * n * period
+
+    def walk(k: int, faces: int, bigons: int, period: int, lefts: int, tilt: int) -> None:
         # Choosing w(k) fixes x_{k-1}; choosing eps_k at the last crossing fixes x_{n-1} too.
         t, last = k - 1, k == n - 1
         for c in range(1, n):
             if not free[c]:
                 continue
-            x[t] = eps[t] * n + (c - w[t]) % n
+            d = (c - w[t]) % n
+            x[t] = eps[t] * n + d
             if t and x[t] < x[t - period]:
                 continue
+            tilted = tilt + (2 * d < n) - (2 * d > n)
+            if last:
+                tilted += (2 * c > n) - (2 * c < n)  # d_{n-1} = n - c closes the cycle
+            if tilted > n - k - last:
+                continue  # even if every open step tilted down, the tilt would end above 0
             p = t + 1 if t and x[t] > x[t - period] else period
             free[c] = False
             for right in (False, True):
+                left_count = lefts + (not right)
+                if 2 * left_count > n:
+                    continue
                 if last:
                     x[k] = right * n + -c % n
                     if x[k] < x[k - p]:
@@ -319,12 +358,12 @@ def shift_classes(
                     continue  # x_k would fall below x_{k-p} whatever w(k+1) is
                 else:
                     q = p
-                place(k, c, right, faces, bigons, q)
+                place(k, c, right, faces, bigons, q, left_count, tilted)
             free[c] = True
 
     try:
-        for right in (False, True):
-            place(0, 0, right, 0, 0, 1)
+        for right in (False, True)[n < 2 :]:  # one crossing left-handed is already a majority
+            place(0, 0, right, 0, 0, 1, not right, 0)
     except RecursionError:
         raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
     return classes, raw, nodes

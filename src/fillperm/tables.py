@@ -51,16 +51,17 @@ def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = 
     """Probe search emptiness for every n up to ``n_max`` against the table.
 
     Each count is the full raw count, read from ``shift_classes``, which
-    walks one crossing sequence per basepoint-shift class, so
-    ``max_seconds`` and :class:`SearchQuery`'s default node budget bound
-    each n's walk.  The propagation search of ``enumerate_solutions`` then
-    supplies one ``witness`` at the smallest nonempty n, under the same
-    budgets.  Raises :class:`CrossValidationError` when the walk finds a
-    smallest nonempty n that contradicts the closed form (or finds any
-    solution on a surface where no filling pair should exist), or when the
-    search finds no witness where the walk counted solutions, and
-    ``ValueError`` when ``n_max`` is below 1 or the first n walked has a
-    degree past the cap.
+    walks one crossing sequence per basepoint-shift class, up to the
+    mirror and the index reversal, and weights each class it visits by
+    its images under them, so ``max_seconds`` and :class:`SearchQuery`'s
+    default node budget bound each n's walk.  The propagation search of
+    ``enumerate_solutions`` then supplies one ``witness`` at the smallest
+    nonempty n, under the same budgets.  Raises
+    :class:`CrossValidationError` when the walk finds a smallest nonempty
+    n that contradicts the closed form (or finds any solution on a surface
+    where no filling pair should exist), or when the search finds no
+    witness where the walk counted solutions, and ``ValueError`` when
+    ``n_max`` is below 1 or the first n walked has a degree past the cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -71,8 +72,9 @@ def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = 
     counts: list[tuple[int, int]] = [(n, 0) for n in range(1, first)]
     smallest: int | None = None
     for n in range(first, n_max + 1):
-        # A shift class of period p holds n * p solutions, so the walk's raw
-        # count is the full count of the unquotiented search.
+        # A shift class of period p holds n * p solutions, and its mirror and
+        # reversal images as many, so the walk's raw count is the full count of
+        # the unquotiented search.
         raw = shift_classes(genus, punctures, n, SearchQuery.max_nodes, max_seconds)[1]
         counts.append((n, raw))
         if raw and smallest is None:

@@ -302,10 +302,12 @@ class TestTableScan:
         assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
         # Searches under 256 nodes never read the clock, so small surfaces still finish.
         assert "S_1,0: n1:2  [minimum 1 confirmed]" in lines
+        # S_2,3's walk at n = 5 visits 170 nodes, its mirror and reversal images counted without a visit.
+        assert "S_2,3: n1:0 n2:0 n3:0 n4:0 n5:2300  [minimum 5 confirmed]" in lines
         assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == [
-            "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,3", "S_2,4",
+            "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,4",
         ]
-        assert lines[-1] == "6 surface(s) ran out of budget"
+        assert lines[-1] == "5 surface(s) ran out of budget"
 
     def test_single_cell_confirmed(self, capsys):
         assert run_cli(capsys, "table", "--genus", "2", "--punctures", "3", "--cap-n", "5") == (0, (
@@ -617,8 +619,10 @@ ERROR_PATH_ARGV = [
     ("table", "--genus", "1", "--punctures", "0", "--max-seconds", "0"),
     ("table", "--max-genus", "2", "--max-punctures", "4", "--cap-n", "6", "--max-seconds", "0"),
 ]
-# Recorded before the semantic failures moved into one handler in ``main``.
-ERROR_PATH_SHA256 = "62d31050efb4c2f7c1ee6ee6139c2d90579c3daee29d6b74615bdfa6851b71cb"
+# Recorded before the semantic failures moved into one handler in ``main``, and
+# re-recorded when the walk's quotient by the mirror and the index reversal
+# brought S_2,3 under the 256-node clock interval at ``--max-seconds 0``.
+ERROR_PATH_SHA256 = "21b4ad5820b23d8e6c038d3f49b45f3f41fc82ac3783ea21eebaf6aac8b66a2f"
 
 
 def test_frozen_error_paths(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Propagation search and shift-class walk vs. the brute-force oracle, plus symmetry machinery."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given
@@ -222,8 +223,93 @@ class TestSymmetry:
             assert len(capsys.readouterr().out.splitlines()) == classes + 1  # the representatives, then the summary
 
 
+def mirror(w, eps):
+    """Every crossing's handedness flipped."""
+    return w, [not e for e in eps]
+
+
+def reversal(w, eps):
+    """The index reversal (w, eps) -> (w o r, eps o r) with r(k) = -k mod n."""
+    n = len(w)
+    return [w[-k % n] for k in range(n)], [eps[-k % n] for k in range(n)]
+
+
+def tilt(w):
+    """Second-curve steps d with 2d < n, minus those with 2d > n."""
+    n = len(w)
+    steps = [(w[(k + 1) % n] - w[k]) % n for k in range(n)]
+    return sum((2 * d < n) - (2 * d > n) for d in steps if d)
+
+
+def crossing_sequences(n, slice_at_zero=False):
+    """Every crossing sequence of n crossings, or only those with w(0) = 0."""
+    for w in itertools.permutations(range(n)):
+        if not (slice_at_zero and w[0]):
+            for eps in itertools.product((False, True), repeat=n):
+                yield list(w), list(eps)
+
+
 class TestShiftClasses:
-    """The crossing-sequence walk: one necklace per basepoint-shift class, n * period solutions each."""
+    """The crossing-sequence walk: one necklace per basepoint-shift class, n * period solutions each,
+    quotiented further by the mirror and the index reversal."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_mirror_and_reversal_are_involutions(self, n):
+        for w, eps in crossing_sequences(n):
+            for symmetry in (mirror, reversal):
+                assert symmetry(*symmetry(w, eps)) == (w, eps)
+
+    @pytest.mark.parametrize("n, slice_at_zero", [*((n, False) for n in range(1, 6)), (6, True)])
+    def test_mirror_and_reversal_keep_faces_and_bigons(self, n, slice_at_zero):
+        for w, eps in crossing_sequences(n, slice_at_zero):
+            shape = _kernel.faces(_kernel.from_crossings(w, eps))
+            for symmetry in (mirror, reversal):
+                assert _kernel.faces(_kernel.from_crossings(*symmetry(w, eps))) == shape
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_mirror_and_reversal_map_shift_classes_onto_shift_classes(self, n):
+        # The walk's weights rest on this: each image of a class is a whole class of the same
+        # period, and left-handed count and tilt are class invariants that the images send to
+        # n - lefts and -tilt.
+        classes = {}
+        for w, eps in crossing_sequences(n):
+            form = tuple(_kernel.canonical(_kernel.from_crossings(w, eps), n))
+            classes.setdefault(form, []).append((w, eps))
+        for members in classes.values():
+            invariants = {(eps.count(False), tilt(w)) for w, eps in members}
+            assert len(invariants) == 1
+            ((lefts, slope),) = invariants
+            for symmetry, image in ((mirror, (n - lefts, slope)), (reversal, (lefts, -slope))):
+                images = {tuple(_kernel.canonical(_kernel.from_crossings(*symmetry(*m)), n)) for m in members}
+                assert len(images) == 1
+                (target,) = images
+                assert len(classes[target]) == len(members)
+                w, eps = classes[target][0]
+                assert (eps.count(False), tilt(w)) == image
+
+    @pytest.mark.parametrize("genus, punctures", [(g, p) for g in range(4) for p in range(7)])
+    def test_classes_and_raw_counts_match_the_search(self, genus, punctures):
+        # Past the brute-force oracle's degree 8: the propagation search's solutions, sorted into
+        # shift classes by their canonical forms.
+        for n in range(1, 6):
+            solutions = enumerate_solutions(SearchQuery(genus, punctures, n)).solutions
+            forms = {tuple(_kernel.canonical((0, *sigma.images), n)) for sigma in solutions}
+            assert shift_classes(genus, punctures, n)[:2] == (len(forms), len(solutions)), n
+
+    @pytest.mark.parametrize("params, classes", [((2, 3, 5), 92), ((2, 4, 6), 664)])
+    def test_every_counted_class_is_validated_once(self, monkeypatch, params, classes):
+        import fillperm.search as search
+
+        real = search.validate
+        forms = []
+
+        def counted(instance):
+            forms.append(tuple(_kernel.canonical((0, *instance.sigma.images), params[2])))
+            return real(instance)
+
+        monkeypatch.setattr(search, "validate", counted)
+        assert shift_classes(*params)[0] == classes
+        assert len(set(forms)) == len(forms) == classes
 
     @pytest.mark.parametrize("params, classes, raw", [
         ((2, 3, 5), 92, 2300),

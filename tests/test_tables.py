@@ -91,8 +91,9 @@ class TestCrossValidation:
         [(g, p, 5) for g in range(4) for p in range(7)] + [(0, p, 6) for p in range(4)],
     )
     def test_counts_equal_the_unpruned_raw_counts(self, genus, punctures, n_max):
-        # cross_validate walks one crossing sequence per basepoint-shift class
-        # and adds n * period per class; the full search must see the same totals.
+        # cross_validate walks one crossing sequence per basepoint-shift class up to
+        # the mirror and the index reversal, and adds n * period for each class it
+        # visits and for each image it weights; the full search must see the same totals.
         cv = cross_validate(genus, punctures, n_max=n_max)
         assert [n for n, _ in cv.counts] == list(range(1, n_max + 1))
         for n, count in cv.counts:
