@@ -18,8 +18,10 @@ be checked against each other.
 sequences instead: one per basepoint-shift class, and of those only the
 classes with at most half their crossings left-handed and a tilt of at
 most 0, each weighted by its images under the mirror and the index
-reversal.  Every class it counts, walked or weighted, passes ``validate``
-(see its docstring).
+reversal.  On the sphere at even n it places alternating crossings only,
+the only kind a separating curve admits, and at odd n it stays
+exhaustive.  Every class it counts, walked or weighted, passes
+``validate`` (see its docstring).
 """
 
 from __future__ import annotations
@@ -261,6 +263,20 @@ def shift_classes(
     ``_kernel.from_crossings`` and passes the public ``validate``, so a
     cell makes one ``validate`` call per class.
 
+    On the sphere every simple closed curve separates (Jordan), so each
+    curve crosses the other from its left and from its right in turn:
+    consecutive crossings along either curve have opposite handedness.
+    Along the first curve that fixes eps from eps_0; along the second,
+    with w(0) = 0, it forces w(k) ≡ k (mod 2), so every step d_k is odd.
+    At even genus-0 n the walk therefore places crossing k only at
+    positions c ≡ k (mod 2), handed opposite to crossing k - 1.  Such a
+    sequence has exactly n / 2 left-handed crossings, so the mirror always
+    ties, and the set is closed under the shifts and the index reversal, so
+    the necklaces and weights above stay exact.  At odd n no sequence
+    alternates around a closed curve, so the sphere cells are empty; the
+    walk stays exhaustive there, so that their emptiness is confirmed by
+    search rather than assumed.
+
     Each crossing fixes four images of sigma, which never collide, and the
     open-segment face count of ``enumerate_solutions`` prunes on face
     overflow, bigon overflow and premature closure.  A node is one placed
@@ -280,6 +296,7 @@ def shift_classes(
     w = [0] * n
     eps = [False] * n
     x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
+    alternate = genus == 0 and n % 2 == 0  # on the sphere both curves alternate in handedness
     classes = raw = nodes = 0
 
     def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int, lefts: int, tilt: int) -> None:
@@ -332,7 +349,7 @@ def shift_classes(
         # Choosing w(k) fixes x_{k-1}; choosing eps_k at the last crossing fixes x_{n-1} too.
         t, last = k - 1, k == n - 1
         for c in range(1, n):
-            if not free[c]:
+            if not free[c] or alternate and (c - k) % 2:
                 continue
             d = (c - w[t]) % n
             x[t] = eps[t] * n + d
@@ -345,7 +362,7 @@ def shift_classes(
                 continue  # even if every open step tilted down, the tilt would end above 0
             p = t + 1 if t and x[t] > x[t - period] else period
             free[c] = False
-            for right in (False, True):
+            for right in (not eps[t],) if alternate else (False, True):
                 left_count = lefts + (not right)
                 if 2 * left_count > n:
                     continue

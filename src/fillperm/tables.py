@@ -53,7 +53,10 @@ def cross_validate(genus: int, punctures: int, n_max: int, max_seconds: float = 
     Each count is the full raw count, read from ``shift_classes``, which
     walks one crossing sequence per basepoint-shift class, up to the
     mirror and the index reversal, and weights each class it visits by
-    its images under them, so ``max_seconds`` and :class:`SearchQuery`'s
+    its images under them.  On the sphere at even n it walks alternating
+    crossings only, the only ones a separating curve admits; at odd n it
+    walks every sequence, so the sphere row's emptiness there is found by
+    search, not assumed.  ``max_seconds`` and :class:`SearchQuery`'s
     default node budget bound each n's walk.  The propagation search of
     ``enumerate_solutions`` then supplies one ``witness`` at the smallest
     nonempty n, under the same budgets.  Raises

@@ -299,15 +299,16 @@ class TestTableScan:
         code, out, err = run_cli(capsys, *self.GRID, "--max-seconds", "0")
         lines = out.splitlines()
         assert (code, err) == (3, "")
-        assert "S_0,0: BUDGET: time budget 0.0s exhausted" in lines
+        assert "S_2,4: BUDGET: time budget 0.0s exhausted" in lines
         # Searches under 256 nodes never read the clock, so small surfaces still finish.
         assert "S_1,0: n1:2  [minimum 1 confirmed]" in lines
         # S_2,3's walk at n = 5 visits 170 nodes, its mirror and reversal images counted without a visit.
         assert "S_2,3: n1:0 n2:0 n3:0 n4:0 n5:2300  [minimum 5 confirmed]" in lines
-        assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == [
-            "S_0,0", "S_0,1", "S_0,2", "S_0,3", "S_2,4",
-        ]
-        assert lines[-1] == "5 surface(s) ran out of budget"
+        # Even-n sphere walks place only alternating crossings (S_0,3 at n = 6 visits 32 nodes), and
+        # the odd-n ones, still exhaustive, stay under 256 nodes up to n = 5 (S_0,3 visits 172).
+        assert "S_0,3: n1:0 n2:0 n3:0 n4:0 n5:0 n6:0  [none expected, none found]" in lines
+        assert [line.split(":")[0] for line in lines if ": BUDGET: " in line] == ["S_2,4"]
+        assert lines[-1] == "1 surface(s) ran out of budget"
 
     def test_single_cell_confirmed(self, capsys):
         assert run_cli(capsys, "table", "--genus", "2", "--punctures", "3", "--cap-n", "5") == (0, (
@@ -620,9 +621,10 @@ ERROR_PATH_ARGV = [
     ("table", "--max-genus", "2", "--max-punctures", "4", "--cap-n", "6", "--max-seconds", "0"),
 ]
 # Recorded before the semantic failures moved into one handler in ``main``, and
-# re-recorded when the walk's quotient by the mirror and the index reversal
-# brought S_2,3 under the 256-node clock interval at ``--max-seconds 0``.
-ERROR_PATH_SHA256 = "21b4ad5820b23d8e6c038d3f49b45f3f41fc82ac3783ea21eebaf6aac8b66a2f"
+# re-recorded each time the walk shrank a cell's walk under the 256-node clock
+# interval at ``--max-seconds 0``: S_2,3 with the quotient by the mirror and the
+# index reversal, then S_0,0 to S_0,3 with the alternating even-n sphere walk.
+ERROR_PATH_SHA256 = "30e03d08612c211844bbbd19b87cc5d7716cf5b2765abacefcaa33e3588884b0"
 
 
 def test_frozen_error_paths(capsys, tmp_path):

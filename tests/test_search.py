@@ -249,9 +249,15 @@ def crossing_sequences(n, slice_at_zero=False):
                 yield list(w), list(eps)
 
 
+# Closed meanders with 2m crossings, m = 1..6 (OEIS A005315; Lando and Zvonkin, *Plane and
+# projective meanders*, 1993).
+MEANDERS = (1, 2, 8, 42, 262, 1828)
+
+
 class TestShiftClasses:
     """The crossing-sequence walk: one necklace per basepoint-shift class, n * period solutions each,
-    quotiented further by the mirror and the index reversal."""
+    quotiented further by the mirror and the index reversal, and on even-n sphere cells restricted
+    to alternating crossings."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_mirror_and_reversal_are_involutions(self, n):
@@ -287,11 +293,12 @@ class TestShiftClasses:
                 w, eps = classes[target][0]
                 assert (eps.count(False), tilt(w)) == image
 
-    @pytest.mark.parametrize("genus, punctures", [(g, p) for g in range(4) for p in range(7)])
+    @pytest.mark.parametrize("genus, punctures", [*((g, p) for g in range(4) for p in range(7)), (0, 7), (0, 8)])
     def test_classes_and_raw_counts_match_the_search(self, genus, punctures):
         # Past the brute-force oracle's degree 8: the propagation search's solutions, sorted into
-        # shift classes by their canonical forms.
-        for n in range(1, 6):
+        # shift classes by their canonical forms.  The sphere rows run to n = 6, where the walk
+        # places alternating crossings only and the search places every symbol.
+        for n in range(1, 7 if genus == 0 else 6):
             solutions = enumerate_solutions(SearchQuery(genus, punctures, n)).solutions
             forms = {tuple(_kernel.canonical((0, *sigma.images), n)) for sigma in solutions}
             assert shift_classes(genus, punctures, n)[:2] == (len(forms), len(solutions)), n
@@ -329,10 +336,34 @@ class TestShiftClasses:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sphere_solutions_balance_their_signs(self, n):
-        # On the sphere the algebraic intersection number is 0: half the crossings are right-handed.
-        # With p = n + 2, every face may hold a puncture, so this is every sphere solution.
-        for sigma in enumerate_solutions(SearchQuery(0, n + 2, n)).solutions:
-            assert 2 * sum(_kernel.crossings((0, *sigma.images), n)[1]) == n
+        # On the sphere each curve separates, so the crossings alternate in handedness along both
+        # curves, which is what the walk restricts even-n sphere cells to, and the algebraic
+        # intersection number is 0: half the crossings are right-handed.  With p = n + 2, every
+        # face may hold a puncture, so this is every sphere solution, none at odd n.
+        solutions = enumerate_solutions(SearchQuery(0, n + 2, n)).solutions
+        assert len(solutions) == {2: 4, 4: 16, 6: 96}.get(n, 0)
+        for sigma in solutions:
+            w, eps = _kernel.crossings((0, *sigma.images), n)
+            hand_at = dict(zip(w, eps))  # handedness by position along the second curve
+            for k in range(n):
+                assert eps[k] != eps[(k + 1) % n]
+                assert hand_at[k] != hand_at[(k + 1) % n]
+            assert 2 * sum(eps) == n
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_sphere_totals_are_closed_meander_counts(self, n):
+        # An outside oracle: the sphere's filling permutations number 2n times the closed meanders
+        # with n crossings.
+        assert shift_classes(0, n + 2, n)[1] == 2 * n * MEANDERS[n // 2 - 1]
+
+    @pytest.mark.parametrize("punctures, n, nodes", [
+        (3, 5, 172),  # odd n: every crossing sequence, as before the alternating restriction
+        (3, 7, 11379),
+        (3, 6, 32),  # even n: alternating crossings only
+        (12, 10, 2789),
+    ])
+    def test_pinned_sphere_walk_nodes(self, punctures, n, nodes):
+        assert shift_classes(0, punctures, n)[2] == nodes
 
     def test_budgets(self):
         with pytest.raises(SearchLimitError, match="node budget 50 exhausted"):
