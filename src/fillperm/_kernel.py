@@ -109,14 +109,25 @@ def crossings(s: Sequence[int], n: int) -> tuple[list[int], list[bool]]:
     return w, eps
 
 
-def corners(k: int, c: int, right: bool, n: int) -> tuple[tuple[int, int], ...]:
-    """The four (side, image) pairs of sigma fixed by crossing k at position c of the second curve."""
-    half = 2 * n
-    a_in, a_out = 2 * k + 1, 2 * ((k + 1) % n) + 1
-    b_in, b_out = 2 * c + 2, 2 * ((c + 1) % n) + 2
-    if right:
-        return (b_in, a_out), (a_out + half, b_out), (b_out + half, a_in + half), (a_in, b_in + half)
-    return (b_in, a_in + half), (a_in, b_out), (b_out + half, a_out), (a_out + half, b_in + half)
+def incoming(c: int, right: bool, n: int) -> int:
+    """Image of the incoming side 2k+1 of a crossing at position c of the second curve, as ``crossings`` decodes it."""
+    return 2 * c + 2 + 2 * n if right else 2 * ((c + 1) % n) + 2
+
+
+def chain(j: int, v: int, rev: Sequence[int], adv: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The four (side, image) pairs that sigma(j) = v forces through the filling equation sigma(rev b) = adv a.
+
+    Each pair (a, b) forces (rev b, adv a), and the fourth closes up on
+    (j, v): the pairs are the four corners of one crossing, whichever of
+    its sides j is.  Crossing k at position c with handedness ``right``
+    is ``chain(2k+1, incoming(c, right, n), rev, adv)``.  Each of its
+    sides and images is named by k alone or by c alone (its sides are
+    2k+1, 2c+2 and the reversals of their successors), so crossings with
+    different indices and different positions share no side and no image.
+    """
+    a, b = rev[v], adv[j]
+    c, d = rev[b], adv[a]
+    return (j, v), (a, b), (c, d), (rev[d], adv[c])
 
 
 def from_crossings(w: Sequence[int], eps: Sequence[bool]) -> list[int]:
@@ -128,9 +139,10 @@ def from_crossings(w: Sequence[int], eps: Sequence[bool]) -> list[int]:
     ([1, 0], [True, False])
     """
     n = len(w)
+    rev, adv = structure_maps(n)
     s = [0] * (4 * n + 1)
     for k, (c, right) in enumerate(zip(w, eps)):
-        for side, image in corners(k, c, right, n):
+        for side, image in chain(2 * k + 1, incoming(c, right, n), rev, adv):
             s[side] = image
     return s
 

@@ -1,9 +1,9 @@
 """Exhaustive search for filling permutations by chain propagation.
 
-Fixing sigma(j) = k forces sigma(rev(k)) = adv(j), and iterating that
-implication closes up after four assignments.  The search therefore
-guesses one value per block of four symbols, pruning on bijectivity,
-parity and the running face counts.  The face counts come from the open
+Fixing sigma(j) = v forces sigma(rev(v)) = adv(j), and iterating that
+implication closes up after four assignments, the four corners of one
+crossing.  Each guess therefore places one crossing, and the search
+prunes on the running face counts.  The face counts come from the open
 path segments of the partial sigma, each known by its start, end and
 step count: an assignment either closes a face of known length or joins
 two segments, in constant time, and is undone the same way.  Every
@@ -99,9 +99,26 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
 
     Deterministic: symbols are filled in increasing order and candidate
     values tried in increasing order, so repeated runs agree byte for
-    byte.  Forced images land only on symbols above the one chosen, so
-    solutions come out in lexicographic order.  Every solution is
-    re-validated before being reported.
+    byte.  Each guess sigma(j) = v places the crossing ``_kernel.chain``
+    gives, four sides at once, and needs no collision test, because every
+    node is a set of crossings with distinct indices and distinct
+    positions:
+
+    1. The smallest unassigned symbol j is 2k0+1 or 2c0+2, k0 the smallest
+       unplaced crossing index and c0 the smallest unused position: the
+       lower-half sides of the placed crossings are their 2k+1 and 2c+2.
+    2. Every unused image v of the opposite parity names a crossing whose
+       index and position are both free: with j = 2k0+1, v is
+       ``_kernel.incoming(c, right, n)`` for one (c, right), and a crossing
+       at c would use both images naming c; with j = 2c0+2 the same holds
+       for the index that v names.
+    3. Two crossings with different indices and different positions share
+       no side and no image (see ``_kernel.chain``).
+
+    So the four sides are unassigned and the four images unused, and the
+    three forced sides lie above j, so solutions come out in
+    lexicographic order.  Every solution is re-validated before being
+    reported.
     """
     start = time.perf_counter()
     deadline = start + query.max_seconds
@@ -124,7 +141,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     raw: list[Permutation] = []
     nodes = 0
 
-    def extend(pos: int, closed: int, closed_bigons: int, assigned: int) -> None:
+    def extend(pos: int, closed: int, closed_bigons: int, placed: int) -> None:
         nonlocal nodes
         j = pos
         while sigma[j]:  # ends in range: extend runs only while some symbol at or above pos is unassigned
@@ -133,27 +150,20 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
             values = range(2, degree + 1, 2)
         else:
             values = range(1, degree, 2)
-        for k in values:
-            if used[k]:
+        for v in values:
+            if used[v]:
                 continue
             nodes += 1
             if nodes > max_nodes:
                 raise SearchLimitError(f"node budget {max_nodes} exhausted")
             if nodes % 256 == 0 and time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
-            # Chase sigma(rev(b)) = adv(a) around its closed chain of four.
-            # Each step closes a face when b starts a's own segment, else
-            # joins the two segments.
-            placed: list[int] = []
+            chain = _kernel.chain(j, v, rev, adv)
             total, bigons = closed, closed_bigons
-            a, b = j, k
-            while True:
-                if sigma[a] or used[b]:
-                    ok = sigma[a] == b
-                    break
+            # Each step closes a face when b starts a's own segment, else joins the two segments.
+            for a, b in chain:
                 sigma[a] = b
                 used[b] = True
-                placed.append(a)
                 s = head[a]
                 if s == b:
                     total += 1
@@ -162,13 +172,8 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                     e = tail[b]
                     tail[s], head[e] = e, s
                     steps[s] += steps[b] + 1
-                a, b = rev[b], adv[a]
-                if a == j and b == k:
-                    ok = True
-                    break
-            done = assigned + len(placed)
-            if ok and total <= target_faces and bigons <= punctures:
-                if done == degree:
+            if total <= target_faces and bigons <= punctures:
+                if placed == n - 1:
                     # Every face is closed here, so `total` is the face count.
                     if total == target_faces:
                         perm = Permutation(sigma[1:])
@@ -178,10 +183,9 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                         if limit is not None and len(raw) >= limit:
                             raise _StopSearch
                 elif total < target_faces:
-                    extend(j + 1, total, bigons, done)
+                    extend(j + 1, total, bigons, placed + 1)
             # Undo newest first; a join left head[a] and tail[b] untouched.
-            for a in reversed(placed):
-                b = sigma[a]
+            for a, b in reversed(chain):
                 s = head[a]
                 if s != b:
                     tail[s], head[tail[b]] = a, b
@@ -277,11 +281,12 @@ def shift_classes(
     walk stays exhaustive there, so that their emptiness is confirmed by
     search rather than assumed.
 
-    Each crossing fixes four images of sigma, which never collide, and the
-    open-segment face count of ``enumerate_solutions`` prunes on face
-    overflow, bigon overflow and premature closure.  A node is one placed
-    crossing; the budgets are those of :class:`SearchQuery`, and the walk
-    recurses once per crossing.
+    Each crossing fixes the four images of sigma that ``_kernel.chain``
+    gives, which never collide, and the open-segment face count of
+    ``enumerate_solutions`` prunes on face overflow, bigon overflow and
+    premature closure.  A node is one placed crossing; the budgets are
+    those of :class:`SearchQuery`, and the walk recurses once per
+    crossing.
     """
     SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
     deadline = time.perf_counter() + max_seconds
@@ -289,6 +294,7 @@ def shift_classes(
     if target_faces < 1 or punctures > target_faces:
         return 0, 0, 0
 
+    rev, adv = _kernel.structure_maps(n)
     head = list(range(4 * n + 1))
     tail = list(range(4 * n + 1))
     steps = [0] * (4 * n + 1)
@@ -306,7 +312,7 @@ def shift_classes(
             raise SearchLimitError(f"node budget {max_nodes} exhausted")
         if nodes % 256 == 0 and time.perf_counter() > deadline:
             raise SearchLimitError(f"time budget {max_seconds}s exhausted")
-        chain = _kernel.corners(k, c, right, n)  # the four images of sigma this crossing fixes
+        chain = _kernel.chain(2 * k + 1, _kernel.incoming(c, right, n), rev, adv)  # the four images this crossing fixes
         # Each step closes a face when b starts a's own segment, else joins the two segments.
         for a, b in chain:
             s = head[a]

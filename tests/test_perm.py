@@ -67,6 +67,14 @@ class TestCycleNotation:
         with pytest.raises(ValueError):
             Permutation.parse(text)
 
+    @pytest.mark.parametrize("text, degree, message", [
+        ("(1,2)", 0, "degree must be at least 1"),
+        ("(1,5)", 4, "symbol 5 outside 1..4"),
+    ])
+    def test_parse_rejects_a_bad_degree_or_symbol(self, text, degree, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation.parse(text, degree=degree)
+
     def test_overlapping_cycles_rejected(self):
         with pytest.raises(ValueError):
             Permutation.parse("(1,2)(2,3)")

@@ -139,9 +139,13 @@ class TestGlueRejections:
         for sigma, punctures in ((identity(4), 0), (sphere4_sigma, 3), (torus_sigma, 2)):
             with pytest.raises(CertificateError):
                 glue(sigma, punctures)
-        with pytest.raises(ValueError) as negative:
-            glue(torus_sigma, punctures=-1)
-        assert not isinstance(negative.value, CertificateError)
+        for sigma, punctures, message in (
+            (torus_sigma, -1, "punctures must be non-negative"),
+            (Permutation((2, 1)), 0, "degree 2 is not a multiple of 4"),
+        ):
+            with pytest.raises(ValueError, match=message) as plain:
+                glue(sigma, punctures)
+            assert not isinstance(plain.value, CertificateError)
 
 
 class TestIndividualFailures:
