@@ -6,9 +6,13 @@ crossing.  Each guess therefore places one crossing, and the search
 prunes on the running face counts.  The face counts come from the open
 path segments of the partial sigma, each known by its start, end and
 step count: an assignment either closes a face of known length or joins
-two segments, in constant time, and is undone the same way.  Every
-solution still passes the public ``validate``, which computes the nine
-checks' numbers and builds no report text unless it is read.  Both
+two segments, in constant time, and is undone the same way.  A complete
+search walks crossing 0 at second-curve position 0 only and reports each
+leaf with its n - 1 images under the second-curve basepoint shift, which
+acts freely and moves crossing 0 to every other position; a search with
+a ``limit`` walks every position.  Every solution, walked or relabelled,
+still passes the public ``validate``, which computes the nine checks'
+numbers and builds no report text unless it is read.  Both
 engines return every solution they find, and ``fillperm search`` sorts
 them into basepoint-shift classes.  A brute-force oracle over the full
 symmetric group covers degrees up to 8 and exists so the two routes can
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _kernel
 from .permutations import MAX_DEGREE, Permutation
@@ -116,9 +121,30 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
        no side and no image (see ``_kernel.chain``).
 
     So the four sides are unassigned and the four images unused, and the
-    three forced sides lie above j, so solutions come out in
-    lexicographic order.  Every solution is re-validated before being
-    reported.
+    three forced sides lie above j, so a walk meets its leaves in
+    lexicographic order.
+
+    The unit second-curve basepoint shift e = ``_kernel._shift_map(n, 0,
+    1)`` moves every second-curve arc one position on and fixes the first
+    curve's, so it commutes with the arc reversal and the curve advance,
+    and conjugation by e maps solutions to solutions with the same faces
+    and bigons.  It fixes side 1 and sends ``incoming(c, right, n)`` to
+    ``incoming(c + 1, right, n)``, so it moves crossing 0 from position c
+    to c + 1 mod n.  The n conjugates of a solution by the powers of e
+    therefore put crossing 0 at n different positions: they are distinct,
+    the shift acts freely, and exactly one of them has crossing 0 at
+    position 0.  A complete search (no ``limit``) guesses only
+    sigma(1) = ``incoming(0, right, n)``, for both hands, and reports each
+    leaf, then its n - 1 successive conjugates by e, so every solution
+    exactly once.  Each copy is conjugated from the one before, so the
+    search holds no table of n shift maps, and the clock is read every 256
+    reported solutions as well as every 256 nodes.  Its nodes are those
+    under the two roots, 1/n of the all-roots walk's where no prune cuts
+    the other positions' subtrees differently; the copies interleave, so
+    the order of its output comes from a final sort by images.  A query
+    with a ``limit`` walks every root, one copy per leaf, so it returns
+    the lexicographically first ``limit`` solutions, and its node count is
+    that walk's.  Every solution is re-validated before being reported.
     """
     start = time.perf_counter()
     deadline = start + query.max_seconds
@@ -141,15 +167,28 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     raw: list[Permutation] = []
     nodes = 0
 
-    def extend(pos: int, closed: int, closed_bigons: int, placed: int) -> None:
+    def report() -> None:
+        # The leaf, then, in a complete search, its conjugates by the unit second-curve shift.
+        s = sigma
+        for copy in range(n if limit is None else 1):
+            if copy:
+                s = _kernel._conjugate(s, n, 0, 1)
+            perm = Permutation(s[1:])
+            if not validate(FillingInstance(perm, genus, punctures)).valid:
+                raise RuntimeError("internal inconsistency: search produced an invalid candidate")
+            raw.append(perm)
+            if limit is not None and len(raw) >= limit:
+                raise _StopSearch
+            if len(raw) % 256 == 0 and time.perf_counter() > deadline:
+                raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
+
+    def extend(pos: int, closed: int, closed_bigons: int, placed: int, values: Sequence[int] = ()) -> None:
         nonlocal nodes
         j = pos
         while sigma[j]:  # ends in range: extend runs only while some symbol at or above pos is unassigned
             j += 1
-        if j % 2:
-            values = range(2, degree + 1, 2)
-        else:
-            values = range(1, degree, 2)
+        if not values:
+            values = range(2, degree + 1, 2) if j % 2 else range(1, degree, 2)
         for v in values:
             if used[v]:
                 continue
@@ -176,12 +215,7 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                 if placed == n - 1:
                     # Every face is closed here, so `total` is the face count.
                     if total == target_faces:
-                        perm = Permutation(sigma[1:])
-                        if not validate(FillingInstance(perm, genus, punctures)).valid:
-                            raise RuntimeError("internal inconsistency: search produced an invalid candidate")
-                        raw.append(perm)
-                        if limit is not None and len(raw) >= limit:
-                            raise _StopSearch
+                        report()
                 elif total < target_faces:
                     extend(j + 1, total, bigons, placed + 1)
             # Undo newest first; a join left head[a] and tail[b] untouched.
@@ -194,12 +228,14 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
                 sigma[a] = 0
 
     try:
-        extend(1, 0, 0, 0)
+        # A complete search places crossing 0 at position 0 only; report() adds its other n - 1 positions.
+        extend(1, 0, 0, 0, [_kernel.incoming(0, right, n) for right in (False, True)] if limit is None else ())
     except _StopSearch:
         pass
     except RecursionError:
         raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
 
+    raw.sort(key=lambda perm: perm.images)
     return SearchResult(tuple(raw), len(raw), nodes, time.perf_counter() - start)
 
 

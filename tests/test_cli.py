@@ -203,13 +203,13 @@ class TestSearch:
         assert lines[-1].startswith(f"count=7 dedup={len(classes)} ")
         assert len(classes) != shift_classes(1, 0, 4)[0]
 
-    # S_1,2 at n = 3: 48 solutions in 78 nodes, under the 256 between the search's own clock reads.
+    # S_1,2 at n = 3: 48 solutions in 26 nodes, under the 256 between the search's own clock reads.
     BUDGET_ARGV = ("search", "--genus", "1", "--punctures", "2", "--n", "3")
 
     def test_time_budget_covers_dedup(self, capsys, monkeypatch):
         stub_clock(monkeypatch)
         code, out, _ = run_cli(capsys, *self.BUDGET_ARGV, "--max-seconds", "5")
-        assert (code, out.splitlines()[-1]) == (0, "count=48 dedup=8 nodes=78")
+        assert (code, out.splitlines()[-1]) == (0, "count=48 dedup=8 nodes=26")
         # The search reads 1 s; canonicalising reads the clock once per solution and runs out.
         code, out, err = run_cli(capsys, *self.BUDGET_ARGV, "--max-seconds", "5", "--dedup")
         assert (code, out) == (3, "")
@@ -223,6 +223,18 @@ class TestSearch:
         assert "time budget 5.0s exhausted" in err
         code, out, _ = run_cli(capsys, *self.BUDGET_ARGV, "--limit", "20", "--max-seconds", "100")
         assert (code, out.splitlines()[-1]) == (0, "count=20 dedup=6 nodes=33")
+
+    def test_time_budget_covers_the_relabelled_copies(self, capsys, monkeypatch):
+        # S_3,0 at n = 5: the search reads the clock after 256 and 512 of its 546 nodes, and after
+        # 256 and 512 of its 600 solutions, four in five of them relabelled copies of a walked leaf.
+        stub_clock(monkeypatch)
+        argv = ("search", "--genus", "3", "--punctures", "0", "--n", "5")
+        code, out, _ = run_cli(capsys, *argv, "--max-seconds", "100")
+        assert (code, out.splitlines()[-1]) == (0, "count=600 dedup=24 nodes=546")
+        # The two node reads alone stay within 2 s; the reads among the copies run out.
+        code, out, err = run_cli(capsys, *argv, "--max-seconds", "2")
+        assert (code, out) == (3, "")
+        assert "time budget 2.0s exhausted" in err
 
     def test_walk_disagreeing_on_the_raw_count_raises(self, capsys, monkeypatch):
         import fillperm.cli as cli
@@ -578,8 +590,10 @@ FROZEN_ARGV = [
     ("table", "--genus", "2", "--punctures", "2"),
     ("export-svg", "--sigma", GENUS2_BASE, "--punctures", "3", "--out", "OUT"),
 ]
-# Recorded with the object-level checks, before they moved onto the integer kernel.
-FROZEN_SHA256 = "b35ed116da2b05bc97b427d37b107dcdc89f664f7a7b9b6978a91a9ced6b1067"
+# Recorded with the object-level checks, before they moved onto the integer kernel,
+# and re-recorded when complete searches began walking one second-curve basepoint:
+# only the three complete searches' nodes= fields changed.
+FROZEN_SHA256 = "903373a7ada60b88c95255a6ab4ce882d3c27e842c9ffecb329b9dcadb51c20f"
 
 
 def test_frozen_command_outputs(capsys, tmp_path):
@@ -638,10 +652,11 @@ def test_frozen_error_paths(capsys, tmp_path):
 
 # Recorded with the n*n first-image scan, uncached shift maps and printing
 # through CycleDecomposition: canonicalisation and cycle notation over all
-# 23616 solutions of S_2,4 at n = 6.
+# 23616 solutions of S_2,4 at n = 6.  Re-recorded when the search began walking
+# one second-curve basepoint: only the summary's nodes= field changed.
 SEARCH_SHA256 = {
-    (): "a742afce1128b8c27e4d6672b7d8c8040cc3d8fb722011856482779f211083a1",
-    ("--dedup",): "5f724fee5045fd138b1a1b9ff114ff95a8ebf35b679e0e478575cd0924485d24",
+    (): "49772c0ae8b2829ac92ecd4afcdeaa5a6f490c8fe9c862bf01061ddd8f53e0fd",
+    ("--dedup",): "552a4e86608952d56c11905c8ef4182a0b674903f7cb713d3d7d08b8833728f3",
 }
 
 
@@ -662,5 +677,5 @@ def test_frozen_genus2_four_puncture_search(capsys, monkeypatch, extra):
     assert (code, err) == (0, "")
     # --dedup canonicalises each solution through the public canonical_form; a complete raw search needs none.
     assert calls == (23616 if extra else 0)
-    assert out.splitlines()[-1] == "count=23616 dedup=664 nodes=75780"
+    assert out.splitlines()[-1] == "count=23616 dedup=664 nodes=12630"
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[extra]

@@ -1,8 +1,10 @@
 """Propagation search and shift-class walk vs. the brute-force oracle, plus symmetry machinery."""
 
+import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -99,30 +101,104 @@ def test_oracle_limits_and_pruning(genus, punctures, n):
 
 # Search tree recorded before the segment bookkeeping replaced the per-node
 # path walks: nodes explored, raw count and a SHA-256 of the sorted solution
-# images.  The emptiness rows are the benchmark's sphere sweep.
+# images.  The emptiness rows are the benchmark's sphere sweep.  The complete
+# searches' node counts were re-recorded when they began walking one
+# second-curve basepoint; a limited search still walks every root.
 EMPTY_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 SPHERE_NODES = {
-    0: (2, 12, 54, 360, 3178, 35076),
-    1: (2, 12, 78, 600, 5674, 65364),
-    2: (2, 12, 78, 632, 6290, 74788),
-    3: (2, 12, 78, 632, 6330, 75924),
+    0: (2, 6, 18, 86, 626, 5814),
+    1: (2, 6, 26, 150, 1138, 10902),
+    2: (2, 6, 26, 158, 1258, 12462),
+    3: (2, 6, 26, 158, 1266, 12654),
 }
 PINNED_TREES = [
     *(((0, p, n), {}, nodes, 0, EMPTY_DIGEST)
       for p, row in SPHERE_NODES.items() for n, nodes in enumerate(row, 1)),
-    ((2, 3, 5), {}, 6210, 2300, "dbd02ed9666a451583a582e9fc568d15fb0310f61b038bba40d537289b287e81"),
-    ((1, 2, 3), {}, 78, 48, "a358bef55da88d63d4e120ddb14407749ece4f93d95d7d85828274265247f988"),
+    ((2, 3, 5), {}, 1242, 2300, "dbd02ed9666a451583a582e9fc568d15fb0310f61b038bba40d537289b287e81"),
+    ((1, 2, 3), {}, 26, 48, "a358bef55da88d63d4e120ddb14407749ece4f93d95d7d85828274265247f988"),
     ((2, 3, 5), {"limit": 7}, 21, 7, "4e64ca2ee73c1898a683dfdad54c91ca1d02cbabfce928c5dedddd7db580a3d3"),
 ]
 
 
 def test_pinned_search_trees():
-    assert sum(map(sum, SPHERE_NODES.values())) == 275192
+    assert sum(map(sum, SPHERE_NODES.values())) == 46800
     for params, options, nodes, raw, digest in PINNED_TREES:
         result = enumerate_solutions(SearchQuery(*params, **options))
         images = repr(sorted(p.images for p in result.solutions)).encode()
         assert (result.nodes_explored, result.raw_count, hashlib.sha256(images).hexdigest()) == (
             nodes, raw, digest), (params, options)
+
+
+# Every cell with g <= 3 and n <= 5, punctures up to one past the face count, and S_2,4 at n = 6.
+QUOTIENT_CELLS = [
+    *((g, p, n) for g in range(4) for n in range(1, 6) for p in range(max(1, n + 4 - 2 * g))),
+    (2, 4, 6),
+]
+# Cells where the bigon and face prunes cut the subtrees under crossing 0's other positions
+# differently from the walked one, whose relabelled copies they are solution for solution but not
+# node for node, since each fills its symbols in its own order: (nodes of the complete search,
+# nodes of the all-roots walk).
+UNEVEN_TREES = {
+    (0, 0, 4): (86, 360),
+    (0, 0, 5): (626, 3178),
+    (0, 1, 5): (1138, 5674),
+    (1, 0, 4): (86, 360),
+    (1, 0, 5): (626, 3178),
+    (1, 1, 5): (1138, 5674),
+    (2, 0, 4): (86, 360),
+    (2, 0, 5): (626, 3178),
+    (2, 1, 5): (1138, 5674),
+    (3, 0, 5): (546, 2810),
+    (3, 1, 5): (546, 2810),
+}
+
+
+@pytest.mark.parametrize("genus, punctures, n", QUOTIENT_CELLS)
+def test_basepoint_quotient_matches_the_all_roots_walk(genus, punctures, n):
+    # A limit above the raw count walks every root, one copy per leaf, as the search did before the
+    # quotient.  test_oracle_equivalence checks the complete search against brute force up to degree 8.
+    complete = enumerate_solutions(SearchQuery(genus, punctures, n))
+    every_root = enumerate_solutions(SearchQuery(genus, punctures, n, limit=complete.raw_count + 1))
+    assert complete.solutions == every_root.solutions
+    if (genus, punctures, n) in UNEVEN_TREES:
+        assert (complete.nodes_explored, every_root.nodes_explored) == UNEVEN_TREES[genus, punctures, n]
+    else:
+        assert complete.nodes_explored * n == every_root.nodes_explored
+
+
+@functools.lru_cache(maxsize=None)
+def all_roots_solution_set(genus, punctures, n):
+    # The limit is never reached, so the search walks every root and relabels nothing.
+    return frozenset(enumerate_solutions(SearchQuery(genus, punctures, n, limit=10**9)).solutions)
+
+
+@given(st.integers(0, 3), st.integers(0, 7), st.integers(1, 5))
+def test_unit_shift_orbits_meet_position_zero_once(genus, punctures, n):
+    # The quotient's premise, through the reference conjugation: the second-curve unit shift maps
+    # solutions to solutions, freely, and each orbit has crossing 0 at position 0 exactly once.
+    shift = symmetry_group(n)[1]
+    solutions = all_roots_solution_set(genus, punctures, n)
+    for sigma in solutions:
+        orbit = [sigma]
+        for _ in range(n - 1):
+            orbit.append(conjugate(orbit[-1], shift))
+        assert conjugate(orbit[-1], shift) == sigma
+        assert len(set(orbit)) == n
+        assert solutions.issuperset(orbit)
+        assert sum(_kernel.crossings((0, *s.images), n)[0][0] == 0 for s in orbit) == 1
+
+
+def test_complete_search_memory_is_linear_in_n():
+    # The relabelled copies are conjugated one unit shift at a time: a table of the n shift maps
+    # would take over 100 MB at n = 2000.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchLimitError, match="node budget 1 exhausted"):
+            enumerate_solutions(SearchQuery(1, 0, 2000, max_nodes=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @given(partial_crossing_sets())
