@@ -3,20 +3,22 @@
 Fixing sigma(j) = v forces sigma(rev(v)) = adv(j), and iterating that
 implication closes up after four assignments, the four corners of one
 crossing.  Each guess therefore places one crossing, and the search
-prunes on the running face counts.  The face counts come from the open
-path segments of the partial sigma, each known by its start, end and
-step count: an assignment either closes a face of known length or joins
-two segments, in constant time, and is undone the same way.  A complete
-search walks crossing 0 at second-curve position 0 only and reports each
-leaf with its n - 1 images under the second-curve basepoint shift, which
-acts freely and moves crossing 0 to every other position; a search with
-a ``limit`` walks every position.  Every solution, walked or relabelled,
-still passes the public ``validate``, which computes the nine checks'
-numbers and builds no report text unless it is read.  Both
-engines return every solution they find, and ``fillperm search`` sorts
-them into basepoint-shift classes.  A brute-force oracle over the full
-symmetric group covers degrees up to 8 and exists so the two routes can
-be checked against each other.
+prunes on the running face counts.  One depth-first core, ``_descend``,
+keeps those counts, the budgets and the prunes for both engines; each
+engine gives it only the crossings a node may place next and what to do
+at a leaf.  A complete search walks crossing 0 at second-curve position
+0 only and reports each leaf with its n - 1 images under the
+second-curve basepoint shift, which acts freely and moves crossing 0 to
+every other position; a search with a ``limit`` walks every position.
+Every solution, walked or relabelled, still passes the public
+``validate``, which computes the nine checks' numbers and builds no
+report text unless it is read.  ``enumerate_solutions`` returns every
+solution it finds; ``fillperm search`` prints them and takes its
+``dedup=`` class count from ``shift_classes`` unless ``--dedup`` or a
+``--limit`` that cut the search short asks for the printed solutions'
+own classes.  A brute-force oracle over the full symmetric group covers
+degrees up to 8 and exists so the two routes can be checked against
+each other.
 
 ``shift_classes`` counts the same solutions by walking crossing
 sequences instead: one per basepoint-shift class, and of those only the
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import _kernel
 from .permutations import MAX_DEGREE, Permutation
@@ -58,7 +60,7 @@ class _StopSearch(Exception):
     pass
 
 
-# Both walks recurse once per placed crossing or symbol, so a large n can outgrow the interpreter's stack.
+# The core recurses once per placed crossing, so a large n can outgrow the interpreter's stack.
 _DEPTH_EXHAUSTED = "depth budget exhausted: n = {n} recurses past the interpreter's recursion limit"
 
 
@@ -90,6 +92,95 @@ class SearchResult:
     raw_count: int
     nodes_explored: int
     wall_time: float
+
+
+def _descend(
+    query: SearchQuery,
+    deadline: float,
+    children: Callable[[int, Any], Iterator[tuple[Sequence[tuple[int, int]], Any]]],
+    leaf: Callable[[Any], None],
+    root: Any,
+) -> int:
+    """Depth-first search over the crossings of one cell; returns its node count.
+
+    ``children(k, state)`` yields each crossing k that a node with
+    ``state`` may place, as its ``_kernel.chain`` and the state of the
+    child, and holds that crossing in the engine's own arrays until it is
+    resumed; the root's state is ``root``.  A node is one yielded chain,
+    counted against the query's node budget, with the clock read against
+    ``deadline`` every 256 nodes.
+
+    The core keeps the open path segments of the partial sigma (maximal
+    runs of assigned steps): the start of the segment ending at each
+    unassigned symbol, the end of the one starting at each unused symbol,
+    and its step count.  Each pair (a, b) of a chain closes a face when b
+    starts a's own segment, a bigon when that face has two sides, and
+    otherwise joins the two segments, in constant time; the pairs are
+    undone newest first, the same way.  A node is cut on face overflow,
+    bigon overflow and premature closure (every allowed face closed
+    before the last crossing).  At the last crossing every face is
+    closed, so a node there with exactly n + 2 - 2 * genus faces is a
+    solution and goes to ``leaf(state)``, which may end the search by
+    raising ``_StopSearch``.  The core recurses once per crossing, and a
+    cell deeper than the interpreter's recursion limit raises
+    :class:`SearchLimitError`.
+    """
+    n, punctures, max_nodes = query.n, query.punctures, query.max_nodes
+    target_faces = n + 2 - 2 * query.genus
+    if target_faces < 1 or punctures > target_faces:
+        return 0
+    head = list(range(4 * n + 1))
+    tail = head.copy()  # shares head's int objects, which at large n outweigh both lists
+    steps = [0] * (4 * n + 1)
+    nodes = 0
+
+    def descend(k: int, faces: int, bigons: int, state: Any) -> None:
+        nonlocal nodes
+        last = k == n - 1
+        for chain, below in children(k, state):
+            nodes += 1
+            if nodes > max_nodes:
+                raise SearchLimitError(f"node budget {max_nodes} exhausted")
+            if nodes % 256 == 0 and time.perf_counter() > deadline:
+                raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
+            total, closed_bigons = faces, bigons
+            for a, b in chain:
+                s = head[a]
+                if s == b:
+                    total += 1
+                    closed_bigons += steps[b] == 1
+                else:
+                    e = tail[b]
+                    tail[s], head[e] = e, s
+                    steps[s] += steps[b] + 1
+            if total <= target_faces and closed_bigons <= punctures:
+                if last:
+                    if total == target_faces:
+                        leaf(below)
+                elif total < target_faces:
+                    descend(k + 1, total, closed_bigons, below)
+            # Undo newest first; a join left head[a] and tail[b] untouched.
+            for a, b in reversed(chain):
+                s = head[a]
+                if s != b:
+                    tail[s], head[tail[b]] = a, b
+                    steps[s] -= steps[b] + 1
+
+    try:
+        descend(0, 0, 0, root)
+    except _StopSearch:
+        pass
+    except RecursionError:
+        raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
+    return nodes
+
+
+def _certify(images: Sequence[int], genus: int, punctures: int) -> Permutation:
+    """The permutation with these images, checked by the public ``validate``: a failure is a bug in a search."""
+    perm = Permutation(images)
+    if not validate(FillingInstance(perm, genus, punctures)).valid:
+        raise RuntimeError("internal inconsistency: search produced an invalid candidate")
+    return perm
 
 
 def canonical_form(sigma: Permutation) -> Permutation:
@@ -150,91 +241,42 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
     deadline = start + query.max_seconds
     n = query.n
     degree = 4 * n
-    target_faces = n + 2 - 2 * query.genus
-    if target_faces < 1 or query.punctures > target_faces:
-        return SearchResult((), 0, 0, time.perf_counter() - start)
-
     rev, adv = _kernel.structure_maps(n)
     sigma = [0] * (degree + 1)
     used = [False] * (degree + 1)
-    # Open path segments of the partial sigma (maximal runs of assigned
-    # steps): the start of the segment ending at each unassigned symbol, the
-    # end of the one starting at each unused symbol, and its step count.
-    head = list(range(degree + 1))
-    tail = list(range(degree + 1))
-    steps = [0] * (degree + 1)
-    genus, punctures, limit, max_nodes = query.genus, query.punctures, query.limit, query.max_nodes
+    genus, punctures, limit = query.genus, query.punctures, query.limit
     raw: list[Permutation] = []
-    nodes = 0
 
-    def report() -> None:
+    def children(k: int, pos: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+        # A child's state is the symbol after its guess: every symbol below it is assigned.
+        j = sigma.index(0, pos)  # found: the core asks for children only while a crossing is unplaced
+        values: Sequence[int] = range(2, degree + 1, 2) if j % 2 else range(1, degree, 2)
+        if not k and limit is None:
+            # A complete search places crossing 0 at position 0 only; report() adds its other n - 1 positions.
+            values = [_kernel.incoming(0, right, n) for right in (False, True)]
+        for v in values:
+            if used[v]:
+                continue
+            chain = _kernel.chain(j, v, rev, adv)
+            for a, b in chain:
+                sigma[a], used[b] = b, True
+            yield chain, j + 1
+            for a, b in chain:
+                sigma[a], used[b] = 0, False
+
+    def report(_: int) -> None:
         # The leaf, then, in a complete search, its conjugates by the unit second-curve shift.
         s = sigma
         for copy in range(n if limit is None else 1):
             if copy:
                 s = _kernel._conjugate(s, n, 0, 1)
-            perm = Permutation(s[1:])
-            if not validate(FillingInstance(perm, genus, punctures)).valid:
-                raise RuntimeError("internal inconsistency: search produced an invalid candidate")
-            raw.append(perm)
+            raw.append(_certify(s[1:], genus, punctures))
             if limit is not None and len(raw) >= limit:
                 raise _StopSearch
             if len(raw) % 256 == 0 and time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
 
-    def extend(pos: int, closed: int, closed_bigons: int, placed: int, values: Sequence[int] = ()) -> None:
-        nonlocal nodes
-        j = pos
-        while sigma[j]:  # ends in range: extend runs only while some symbol at or above pos is unassigned
-            j += 1
-        if not values:
-            values = range(2, degree + 1, 2) if j % 2 else range(1, degree, 2)
-        for v in values:
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise SearchLimitError(f"node budget {max_nodes} exhausted")
-            if nodes % 256 == 0 and time.perf_counter() > deadline:
-                raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
-            chain = _kernel.chain(j, v, rev, adv)
-            total, bigons = closed, closed_bigons
-            # Each step closes a face when b starts a's own segment, else joins the two segments.
-            for a, b in chain:
-                sigma[a] = b
-                used[b] = True
-                s = head[a]
-                if s == b:
-                    total += 1
-                    bigons += steps[b] == 1
-                else:
-                    e = tail[b]
-                    tail[s], head[e] = e, s
-                    steps[s] += steps[b] + 1
-            if total <= target_faces and bigons <= punctures:
-                if placed == n - 1:
-                    # Every face is closed here, so `total` is the face count.
-                    if total == target_faces:
-                        report()
-                elif total < target_faces:
-                    extend(j + 1, total, bigons, placed + 1)
-            # Undo newest first; a join left head[a] and tail[b] untouched.
-            for a, b in reversed(chain):
-                s = head[a]
-                if s != b:
-                    tail[s], head[tail[b]] = a, b
-                    steps[s] -= steps[b] + 1
-                used[b] = False
-                sigma[a] = 0
-
-    try:
-        # A complete search places crossing 0 at position 0 only; report() adds its other n - 1 positions.
-        extend(1, 0, 0, 0, [_kernel.incoming(0, right, n) for right in (False, True)] if limit is None else ())
-    except _StopSearch:
-        pass
-    except RecursionError:
-        raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
-
+    nodes = _descend(query, deadline, children, report, 1)
     raw.sort(key=lambda perm: perm.images)
     return SearchResult(tuple(raw), len(raw), nodes, time.perf_counter() - start)
 
@@ -318,77 +360,29 @@ def shift_classes(
     search rather than assumed.
 
     Each crossing fixes the four images of sigma that ``_kernel.chain``
-    gives, which never collide, and the open-segment face count of
-    ``enumerate_solutions`` prunes on face overflow, bigon overflow and
-    premature closure.  A node is one placed crossing; the budgets are
-    those of :class:`SearchQuery`, and the walk recurses once per
-    crossing.
+    gives, which never collide, and ``_descend`` prunes on face overflow,
+    bigon overflow and premature closure.  A node is one placed crossing;
+    the budgets are those of :class:`SearchQuery`.
     """
-    SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
+    query = SearchQuery(genus, punctures, n, max_nodes=max_nodes, max_seconds=max_seconds)  # the same entry checks
     deadline = time.perf_counter() + max_seconds
-    target_faces = n + 2 - 2 * genus
-    if target_faces < 1 or punctures > target_faces:
-        return 0, 0, 0
-
     rev, adv = _kernel.structure_maps(n)
-    head = list(range(4 * n + 1))
-    tail = list(range(4 * n + 1))
-    steps = [0] * (4 * n + 1)
     free = [c > 0 for c in range(n)]
     w = [0] * n
     eps = [False] * n
     x = [0] * n  # x_k as the integer eps_k * n + d_k, which orders the pairs lexicographically
     alternate = genus == 0 and n % 2 == 0  # on the sphere both curves alternate in handedness
-    classes = raw = nodes = 0
+    classes = raw = 0
 
-    def place(k: int, c: int, right: bool, faces: int, bigons: int, period: int, lefts: int, tilt: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise SearchLimitError(f"node budget {max_nodes} exhausted")
-        if nodes % 256 == 0 and time.perf_counter() > deadline:
-            raise SearchLimitError(f"time budget {max_seconds}s exhausted")
-        chain = _kernel.chain(2 * k + 1, _kernel.incoming(c, right, n), rev, adv)  # the four images this crossing fixes
-        # Each step closes a face when b starts a's own segment, else joins the two segments.
-        for a, b in chain:
-            s = head[a]
-            if s == b:
-                faces += 1
-                bigons += steps[b] == 1
-            else:
-                e = tail[b]
-                tail[s], head[e] = e, s
-                steps[s] += steps[b] + 1
-        if faces <= target_faces and bigons <= punctures:
-            w[k], eps[k] = c, right
-            if k == n - 1:
-                if faces == target_faces and n % period == 0:
-                    count(period, 2 * lefts < n, tilt < 0)
-            elif faces < target_faces:
-                walk(k + 1, faces, bigons, period, lefts, tilt)
-        # Undo newest first; a join left head[a] and tail[b] untouched.
-        for a, b in reversed(chain):
-            s = head[a]
-            if s != b:
-                tail[s], head[tail[b]] = a, b
-                steps[s] -= steps[b] + 1
-
-    def count(period: int, mirror: bool, reverse: bool) -> None:
-        # The class, then its mirror and its index reversal where those are classes the walk skips.
-        nonlocal classes, raw
-        signs = [eps, [not e for e in eps]] if mirror else [eps]
-        images = [(w, e) for e in signs]
-        if reverse:
-            images += [(w[:1] + w[:0:-1], e[:1] + e[:0:-1]) for e in signs]
-        for ws, es in images:
-            perm = Permutation(_kernel.from_crossings(ws, es)[1:])
-            if not validate(FillingInstance(perm, genus, punctures)).valid:
-                raise RuntimeError("internal inconsistency: walk produced an invalid candidate")
-        classes += len(images)
-        raw += len(images) * n * period
-
-    def walk(k: int, faces: int, bigons: int, period: int, lefts: int, tilt: int) -> None:
+    def children(k: int, state: tuple[int, int, int]) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, int, int]]]:
+        # A child's state is (period, lefts, tilt) of its prefix.
+        if not k:
+            for right in (False, True)[n < 2 :]:  # one crossing left-handed is already a majority
+                eps[0] = right
+                yield _kernel.chain(1, _kernel.incoming(0, right, n), rev, adv), (1, not right, 0)
+            return
         # Choosing w(k) fixes x_{k-1}; choosing eps_k at the last crossing fixes x_{n-1} too.
+        period, lefts, tilt = state
         t, last = k - 1, k == n - 1
         for c in range(1, n):
             if not free[c] or alternate and (c - k) % 2:
@@ -403,7 +397,7 @@ def shift_classes(
             if tilted > n - k - last:
                 continue  # even if every open step tilted down, the tilt would end above 0
             p = t + 1 if t and x[t] > x[t - period] else period
-            free[c] = False
+            free[c], w[k] = False, c
             for right in (not eps[t],) if alternate else (False, True):
                 left_count = lefts + (not right)
                 if 2 * left_count > n:
@@ -417,12 +411,24 @@ def shift_classes(
                     continue  # x_k would fall below x_{k-p} whatever w(k+1) is
                 else:
                     q = p
-                place(k, c, right, faces, bigons, q, left_count, tilted)
+                eps[k] = right
+                yield _kernel.chain(2 * k + 1, _kernel.incoming(c, right, n), rev, adv), (q, left_count, tilted)
             free[c] = True
 
-    try:
-        for right in (False, True)[n < 2 :]:  # one crossing left-handed is already a majority
-            place(0, 0, right, 0, 0, 1, not right, 0)
-    except RecursionError:
-        raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
+    def count(state: tuple[int, int, int]) -> None:
+        # The class, then its mirror and its index reversal where those are classes the walk skips.
+        nonlocal classes, raw
+        period, lefts, tilt = state
+        if n % period:
+            return
+        signs = [eps, [not e for e in eps]] if 2 * lefts < n else [eps]
+        images = [(w, e) for e in signs]
+        if tilt < 0:
+            images += [(w[:1] + w[:0:-1], e[:1] + e[:0:-1]) for e in signs]
+        for ws, es in images:
+            _certify(_kernel.from_crossings(ws, es)[1:], genus, punctures)
+        classes += len(images)
+        raw += len(images) * n * period
+
+    nodes = _descend(query, deadline, children, count, None)
     return classes, raw, nodes

@@ -201,6 +201,28 @@ def test_complete_search_memory_is_linear_in_n():
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("genus, punctures, n", [(2, 4, 6), (0, 4, 6), (1, 0, 5), (2, 3, 5), (1, 2, 3)])
+def test_one_node_is_one_chain_call_in_both_engines(monkeypatch, genus, punctures, n):
+    # Each node places the crossing of one _kernel.chain call; the walk also rebuilds every counted
+    # class with from_crossings, which places its n crossings through the same call.
+    calls = []
+    real = _kernel.chain
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "chain", counted)
+    for limit in (None, 5):
+        calls.clear()
+        result = enumerate_solutions(SearchQuery(genus, punctures, n, limit=limit))
+        assert len(calls) == result.nodes_explored > 0, limit
+    calls.clear()
+    classes, _, nodes = shift_classes(genus, punctures, n)
+    assert len(calls) == nodes + n * classes
+    assert classes > 0
+
+
 @given(partial_crossing_sets())
 def test_every_guess_places_a_whole_crossing(placed):
     # The lemma that lets enumerate_solutions place a guess's four pairs without a collision test.
@@ -500,6 +522,12 @@ class TestShiftClasses:
             shift_classes(2, 4, 6, max_seconds=0.0)
         # Under 256 nodes the clock is never read.
         assert shift_classes(1, 4, 4, max_seconds=0.0)[2] < 256
+
+    def test_depth_budget(self):
+        # The walk recurses once per crossing, so n = 19999 runs past the default recursion limit.
+        with pytest.raises(SearchLimitError) as raised:
+            shift_classes(10000, 0, 19999)
+        assert str(raised.value) == "depth budget exhausted: n = 19999 recurses past the interpreter's recursion limit"
 
     @pytest.mark.parametrize("args, budgets", [
         ((-1, 0, 1), {}),
