@@ -55,6 +55,27 @@ def faces(s: Sequence[int]) -> tuple[int, int]:
     return count, bigons
 
 
+def reversing_faces(s: Sequence[int]) -> tuple[int, int]:
+    """``faces`` of a parity-reversing bijection: the cycles of s∘s on the odd symbols, each half an s-cycle.
+
+    The walk closes only on a bijection.
+    """
+    seen = [False] * len(s)
+    count = bigons = 0
+    for j in range(1, len(s), 2):
+        if seen[j]:
+            continue
+        count += 1
+        k = s[s[j]]
+        if k == j:
+            bigons += 1
+            continue
+        while k != j:
+            seen[k] = True
+            k = s[s[k]]
+    return count, bigons
+
+
 def cycles(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles of ``p``, each from its smallest symbol, ordered by that symbol."""
     seen = [False] * len(p)

@@ -56,7 +56,9 @@ def _splice(instance: FillingInstance, site: int) -> FillingInstance:
     w = [x + 2 if x > c else x for x in w]
     w[k + 1 : k + 1] = c + 1, c + 2
     eps[k + 1 : k + 1] = not eps[k], eps[k]
-    result = FillingInstance(Permutation(_kernel.from_crossings(w, eps)[1:]), instance.genus, instance.punctures + 2)
+    # Wrapped unchecked: validate below proves the bijection (see its docstring) or raises.
+    images = tuple(_kernel.from_crossings(w, eps)[1:])
+    result = FillingInstance(Permutation._trusted(images), instance.genus, instance.punctures + 2)
     after = validate(result)
     if not after.valid:
         failing = ", ".join(c.name for c in after.failures())

@@ -49,6 +49,13 @@ class Permutation:
                 seen[v - 1] = True
         self._images = imgs
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple that is a bijection by construction or is validated next, without re-proving it."""
+        perm = cls.__new__(cls)
+        perm._images = images
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self._images)

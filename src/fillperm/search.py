@@ -12,8 +12,9 @@ second-curve basepoint shift, which acts freely and moves crossing 0 to
 every other position; a search with a ``limit`` walks every position.
 Every solution, walked or relabelled, still passes the public
 ``validate``, which computes the nine checks' numbers and builds no
-report text unless it is read.  ``enumerate_solutions`` returns every
-solution it finds; ``fillperm search`` prints them and takes its
+report text unless it is read, and whose filling-equation check proves
+each solution a bijection (see ``_certify``).  ``enumerate_solutions``
+returns every solution it finds; ``fillperm search`` prints them and takes its
 ``dedup=`` class count from ``shift_classes`` unless ``--dedup`` or a
 ``--limit`` that cut the search short asks for the printed solutions'
 own classes.  A brute-force oracle over the full symmetric group covers
@@ -172,12 +173,20 @@ def _descend(
         pass
     except RecursionError:
         raise SearchLimitError(_DEPTH_EXHAUSTED.format(n=n)) from None
+    finally:
+        # descend's closure holds descend itself; clearing it frees the engine's state, the leaf's
+        # solution list included, on return rather than at the next cyclic garbage collection.
+        del descend
     return nodes
 
 
-def _certify(images: Sequence[int], genus: int, punctures: int) -> Permutation:
-    """The permutation with these images, checked by the public ``validate``: a failure is a bug in a search."""
-    perm = Permutation(images)
+def _certify(images: tuple[int, ...], genus: int, punctures: int) -> Permutation:
+    """The permutation with these images, checked by the public ``validate``: a failure is a bug in a search.
+
+    The images come from the kernel's tables, so lie in 1..4n, and are
+    wrapped unchecked: ``validate`` proves them a bijection.
+    """
+    perm = Permutation._trusted(images)
     if not validate(FillingInstance(perm, genus, punctures)).valid:
         raise RuntimeError("internal inconsistency: search produced an invalid candidate")
     return perm
@@ -187,7 +196,8 @@ def canonical_form(sigma: Permutation) -> Permutation:
     """Lexicographically smallest conjugate under the basepoint shifts."""
     if sigma.degree % 4:
         raise ValueError(f"degree {sigma.degree} is not a multiple of 4")
-    return Permutation(_kernel.canonical((0, *sigma.images), sigma.degree // 4)[1:])
+    # A conjugate of a bijection by a shift table is a bijection, so the result is wrapped unchecked.
+    return Permutation._trusted(tuple(_kernel.canonical((0, *sigma.images), sigma.degree // 4)[1:]))
 
 
 def enumerate_solutions(query: SearchQuery) -> SearchResult:
@@ -264,20 +274,24 @@ def enumerate_solutions(query: SearchQuery) -> SearchResult:
             for a, b in chain:
                 sigma[a], used[b] = 0, False
 
+    # Conjugation by e reads the images at e^-1: image j of a copy is e[images[e^-1(j) - 1]].
+    e = _kernel._shift_map(n, 0, 1)
+    back = [k - 1 for k in _kernel._shift_map(n, 0, n - 1)[1:]]
+
     def report(_: int) -> None:
         # The leaf, then, in a complete search, its conjugates by the unit second-curve shift.
-        s = sigma
+        images = tuple(sigma[1:])
         for copy in range(n if limit is None else 1):
             if copy:
-                s = _kernel._conjugate(s, n, 0, 1)
-            raw.append(_certify(s[1:], genus, punctures))
+                images = tuple([e[images[k]] for k in back])
+            raw.append(_certify(images, genus, punctures))
             if limit is not None and len(raw) >= limit:
                 raise _StopSearch
             if len(raw) % 256 == 0 and time.perf_counter() > deadline:
                 raise SearchLimitError(f"time budget {query.max_seconds}s exhausted")
 
     nodes = _descend(query, deadline, children, report, 1)
-    raw.sort(key=lambda perm: perm.images)
+    raw.sort(key=Permutation.images.fget)
     return SearchResult(tuple(raw), len(raw), nodes, time.perf_counter() - start)
 
 
@@ -426,7 +440,7 @@ def shift_classes(
         if tilt < 0:
             images += [(w[:1] + w[:0:-1], e[:1] + e[:0:-1]) for e in signs]
         for ws, es in images:
-            _certify(_kernel.from_crossings(ws, es)[1:], genus, punctures)
+            _certify(tuple(_kernel.from_crossings(ws, es)[1:]), genus, punctures)
         classes += len(images)
         raw += len(images) * n * period
 

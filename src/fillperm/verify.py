@@ -146,15 +146,23 @@ def validate(instance: FillingInstance) -> ValidationReport:
     classes and χ = faces - n.  The face graph's components are the orbits of
     ⟨s, rev⟩, which then holds adv = s∘rev∘s; ⟨adv, rev⟩ has two orbits, the
     odd and the even symbols, and a parity-reversing s joins them.
+
+    The equation also proves s a bijection, so images built in 0..4n may
+    skip the checked constructor (``Permutation._trusted``): s∘rev∘s = adv
+    makes s injective, and an image 0 at j fails, as s(rev(0)) = 0 ≠ adv(j);
+    that also justifies parity's shortcut.  Once both hold, the faces are
+    the cycles of s∘s on the odd symbols (``_kernel.reversing_faces``).
     """
-    n, genus, punctures = instance.n, instance.genus, instance.punctures
-    s = (0, *instance.sigma.images)  # FillingInstance has checked that the degree is 4n
+    genus, punctures = instance.genus, instance.punctures
+    images = instance.sigma.images
+    n = len(images) // 4  # FillingInstance has checked that the degree is 4n
+    s = (0, *images)
     rev, adv = _kernel.structure_maps(n)
     parity = _kernel.parity_offender(s)
     equation = _kernel.equation_offender(s, rev, adv)
-    faces, bigons = _kernel.faces(s)
     if parity is None and equation is None:
-        return _report_on_the_equation(n, genus, punctures, faces, bigons)
+        return _report_on_the_equation(n, genus, punctures, *_kernel.reversing_faces(s))
+    faces, bigons = _kernel.faces(s)
     classes = () if equation is None else _kernel.cycles(_kernel.corner_rotation(s, rev))
     bad_orbit = next(((o[0], len(o)) for o in classes if len(o) != 4), None)
     return ValidationReport(

@@ -1,12 +1,13 @@
 """Permutations and their cycle notation against small hand-worked examples."""
 
+import itertools
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fillperm import Permutation, _kernel
+from fillperm import Permutation, SearchQuery, _kernel, enumerate_solutions
 from fillperm.permutations import MAX_DEGREE
 
 from conftest import cycles_of, identity
@@ -89,6 +90,24 @@ class TestAlgebra:
         p = Permutation.parse("(1,4,5,2,7,12,9,8)(3,10)(6,11)")
         assert _kernel.faces((0, *p.images)) == (3, 2)
         assert _kernel.faces((0, *identity(4).images)) == (4, 0)
+
+
+def test_two_symbol_face_walk_agrees_on_every_small_parity_reversing_bijection():
+    walked = 0
+    for m in (4, 8):
+        for odd_images in itertools.permutations(range(2, m + 1, 2)):
+            for even_images in itertools.permutations(range(1, m, 2)):
+                s = [0] * (m + 1)
+                s[1::2], s[2::2] = odd_images, even_images
+                assert _kernel.reversing_faces(s) == _kernel.faces(s)
+                walked += 1
+    assert walked == 580
+
+
+def test_two_symbol_face_walk_agrees_on_a_searched_cell():
+    solutions = enumerate_solutions(SearchQuery(2, 4, 6)).solutions
+    assert len(solutions) == 23616
+    assert all(_kernel.reversing_faces(s) == _kernel.faces(s) for s in ((0, *p.images) for p in solutions))
 
 
 @given(permutations())

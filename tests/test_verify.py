@@ -20,7 +20,7 @@ from fillperm import (
     validate,
     vertex_classes,
 )
-from fillperm import _kernel
+from fillperm import _kernel, search
 
 from conftest import compose, corner_rotation, identity, label_of
 
@@ -183,6 +183,18 @@ class TestIndividualFailures:
         assert not detail.passed
         assert "4 components" in detail.detail
 
+    @pytest.mark.parametrize("images, genus, punctures, fields", [
+        ((3, 4, 1, 2), 1, 0, (1, 1, 0, (1, 3), (1, 3, 1), 2, 2, (1, 1), 4, 2)),
+        ((2, 1, 4, 3), 1, 0, (1, 1, 0, None, (1, 3, 1), 2, 2, (1, 2), 2, 1)),
+        ((1, 2, 3, 4, 5, 6, 7, 8), 0, 0, (2, 0, 0, (1, 1), (1, 5, 3), 8, 0, (1, 2), 8, 4)),
+        ((1, 2, 3, 4), 1, 0, (1, 1, 0, (1, 1), (1, 3, 1), 4, 0, (1, 2), 4, 2)),
+        ((1, 2, 4, 3), 0, 0, (1, 0, 0, (1, 1), (1, 4, 1), 3, 1, None, 2, 1)),
+        ((1, 2, 5, 6, 3, 4, 7, 8), 0, 0, (2, 0, 0, (1, 1), None, 6, 2, None, 4, 2)),  # on the equation, parity fails
+    ])
+    def test_rejected_reports_keep_every_field(self, images, genus, punctures, fields):
+        # A rejected candidate counts its faces with the general walk: faces and bigons are its cycles and 2-cycles.
+        assert dataclasses.astuple(validate(FillingInstance(Permutation(images), genus, punctures))) == fields
+
     def test_failure_lines_carry_details(self):
         report = validate(FillingInstance(identity(4), 1, 0))
         assert not report.valid
@@ -253,6 +265,37 @@ class TestIndividualFailures:
             assert report.euler_characteristic == len(classes) - 4 + report.faces
             seen += 1
         assert seen == 1248
+
+
+class TestEquationProvesTheBijection:
+    """validate's filling-equation check rejects every map that is not a bijection, so a search may wrap its images unchecked."""
+
+    def test_every_non_bijection_at_n1_fails_the_equation(self):
+        rev, adv = _kernel.structure_maps(1)
+        rejected = 0
+        for images in itertools.product(range(5), repeat=4):
+            if sorted(images) != [1, 2, 3, 4]:
+                assert _kernel.equation_offender((0, *images), rev, adv) is not None, images
+                rejected += 1
+        assert rejected == 5**4 - 24
+
+    @given(st.data())
+    def test_one_overwritten_image_is_the_same_bijection_or_fails_the_equation(self, data):
+        n = data.draw(st.integers(1, 4))
+        w = data.draw(st.permutations(range(n)))
+        s = _kernel.from_crossings(w, data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        j, v = data.draw(st.integers(1, 4 * n)), data.draw(st.integers(0, 4 * n))
+        before, s[j] = s[j], v
+        rev, adv = _kernel.structure_maps(n)
+        assert v == before or _kernel.equation_offender(s, rev, adv) is not None
+
+    def test_a_repeated_image_in_a_relabelled_copy_is_caught(self):
+        sigma = enumerate_solutions(SearchQuery(2, 3, 5, limit=1)).solutions[0]
+        images = _kernel._conjugate((0, *sigma.images), 5, 0, 1)[1:]
+        assert search._certify(tuple(images), 2, 3).images == tuple(images)
+        images[3] = images[4]
+        with pytest.raises(RuntimeError, match="internal inconsistency: search produced an invalid candidate"):
+            search._certify(tuple(images), 2, 3)
 
 
 @pytest.fixture(scope="module")
